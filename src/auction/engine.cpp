@@ -80,11 +80,11 @@ MechanismOutcome dispatch(const AuctionInstance& instance, const MechanismConfig
 /// Runs one auction and folds any per-auction failure into the slot. The
 /// happy path stores the strict outcome unchanged, so isolation costs
 /// healthy auctions nothing but the status bookkeeping.
-template <typename Item>
-AuctionOutcome dispatch_isolated(const Item& instance, const MechanismConfig& config) {
+template <typename Run>
+AuctionOutcome isolate(const Run& run) {
   AuctionOutcome slot;
   try {
-    slot.outcome = dispatch(instance, config);
+    slot.outcome = run();
     slot.status = slot.outcome.degraded ? AuctionStatus::kDegraded : AuctionStatus::kOk;
   } catch (const common::DeadlineExceeded& e) {
     slot.status = AuctionStatus::kTimedOut;
@@ -97,6 +97,11 @@ AuctionOutcome dispatch_isolated(const Item& instance, const MechanismConfig& co
   }
   record_status(slot.status);
   return slot;
+}
+
+template <typename Item>
+AuctionOutcome dispatch_isolated(const Item& instance, const MechanismConfig& config) {
+  return isolate([&] { return dispatch(instance, config); });
 }
 
 }  // namespace
@@ -168,15 +173,27 @@ std::vector<MechanismOutcome> Engine::run(const std::vector<MultiTaskInstance>& 
 template <typename Item>
 std::vector<AuctionOutcome> Engine::run_batch_isolated(const std::vector<Item>& batch,
                                                        const MechanismConfig& config) const {
-  const MechanismConfig adjusted = effective_config(config);
-  record_batch(batch.size());
-  std::vector<AuctionOutcome> slots(batch.size());
-  // Same scheduling as run_batch; dispatch_isolated swallows per-slot
-  // exceptions before they can reach for_each_index's rethrow machinery, so
-  // sibling auctions always complete.
-  pool().for_each_index(
+  return run_isolated(
       batch.size(),
-      [&](std::size_t index) { slots[index] = dispatch_isolated(batch[index], adjusted); },
+      [&](std::size_t index, const MechanismConfig& adjusted) {
+        return dispatch(batch[index], adjusted);
+      },
+      config);
+}
+
+std::vector<AuctionOutcome> Engine::run_isolated(std::size_t count, const SlotRunner& run_slot,
+                                                 const MechanismConfig& config) const {
+  const MechanismConfig adjusted = effective_config(config);
+  record_batch(count);
+  std::vector<AuctionOutcome> slots(count);
+  // Same scheduling as run_batch; isolate swallows per-slot exceptions
+  // before they can reach for_each_index's rethrow machinery, so sibling
+  // auctions always complete.
+  pool().for_each_index(
+      count,
+      [&](std::size_t index) {
+        slots[index] = isolate([&] { return run_slot(index, adjusted); });
+      },
       pool().worker_count());
   return slots;
 }

@@ -18,6 +18,7 @@
 // deadline cannot take down its siblings' results.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <variant>
@@ -63,6 +64,10 @@ struct EngineOptions {
 
 class Engine {
  public:
+  /// Produces slot `slot`'s outcome under the engine-adjusted config.
+  using SlotRunner =
+      std::function<MechanismOutcome(std::size_t slot, const MechanismConfig& config)>;
+
   explicit Engine(const EngineOptions& options = {});
 
   /// Threads available to a batch (the shared or dedicated pool's size).
@@ -88,6 +93,14 @@ class Engine {
   std::vector<AuctionOutcome> run_isolated(const std::vector<SingleTaskInstance>& batch,
                                            const MechanismConfig& config = {}) const;
   std::vector<AuctionOutcome> run_isolated(const std::vector<MultiTaskInstance>& batch,
+                                           const MechanismConfig& config = {}) const;
+  /// Fault-isolated batch of `count` slots that each build their own input:
+  /// slot k calls run_slot(k, config) on a pool worker — e.g. to fill one
+  /// shard's view straight from a shared round and run the mechanism on it —
+  /// so input preparation runs in parallel too, and a slot whose build
+  /// throws fails alone. Same scheduling, capture rules and slot metrics as
+  /// the batch overloads; run_slot must be safe to call concurrently.
+  std::vector<AuctionOutcome> run_isolated(std::size_t count, const SlotRunner& run_slot,
                                            const MechanismConfig& config = {}) const;
 
   /// Single-auction convenience: runs on the calling thread with the

@@ -9,13 +9,23 @@
 
 namespace mcs::auction {
 
-namespace {
-void check_pos(double p) { MCS_EXPECTS(p >= 0.0 && p <= 1.0, "PoS must lie in [0, 1]"); }
-void check_requirement(double t) {
+namespace checks {
+void requirement(double t) {
   MCS_EXPECTS(t > 0.0 && t < 1.0, "PoS requirement must lie in (0, 1)");
 }
-void check_cost(double c) { MCS_EXPECTS(c > 0.0, "costs must be strictly positive"); }
-}  // namespace
+void cost(double c) { MCS_EXPECTS(c > 0.0, "costs must be strictly positive"); }
+void pos(double p) { MCS_EXPECTS(p >= 0.0 && p <= 1.0, "PoS must lie in [0, 1]"); }
+void bid_shape(const MultiTaskUserBid& bid) {
+  MCS_EXPECTS(bid.tasks.size() == bid.pos.size(), "task set and PoS arrays must be aligned");
+  MCS_EXPECTS(!bid.tasks.empty(), "single-minded users must demand at least one task");
+}
+void task_in_range(TaskIndex task, std::size_t num_tasks) {
+  MCS_EXPECTS(task >= 0 && static_cast<std::size_t>(task) < num_tasks, "task index out of range");
+}
+void ascending(TaskIndex previous, TaskIndex task) {
+  MCS_EXPECTS(previous < task, "task sets must be strictly ascending");
+}
+}  // namespace checks
 
 // ---------------------------------------------------------------------------
 // SingleTaskInstance
@@ -64,16 +74,16 @@ BidColumns SingleTaskInstance::make_columns() const {
 }
 
 void SingleTaskInstance::validate() const {
-  check_requirement(requirement_pos);
+  checks::requirement(requirement_pos);
   for (const auto& bid : bids) {
-    check_cost(bid.cost);
-    check_pos(bid.pos);
+    checks::cost(bid.cost);
+    checks::pos(bid.pos);
   }
 }
 
 SingleTaskInstance SingleTaskInstance::with_declared_pos(UserId user, double declared_pos) const {
   MCS_EXPECTS(user >= 0 && static_cast<std::size_t>(user) < bids.size(), "user id out of range");
-  check_pos(declared_pos);
+  checks::pos(declared_pos);
   SingleTaskInstance copy = *this;
   copy.bids[static_cast<std::size_t>(user)].pos = declared_pos;
   return copy;
@@ -180,21 +190,17 @@ double MultiTaskInstance::cost_of(const std::vector<UserId>& users_subset) const
 
 void MultiTaskInstance::validate() const {
   for (double t : requirement_pos) {
-    check_requirement(t);
+    checks::requirement(t);
   }
   for (const auto& user : users) {
-    check_cost(user.cost);
-    MCS_EXPECTS(user.tasks.size() == user.pos.size(),
-                "task set and PoS arrays must be aligned");
-    MCS_EXPECTS(!user.tasks.empty(), "single-minded users must demand at least one task");
+    checks::cost(user.cost);
+    checks::bid_shape(user);
     for (std::size_t k = 0; k < user.tasks.size(); ++k) {
-      const TaskIndex task = user.tasks[k];
-      MCS_EXPECTS(task >= 0 && static_cast<std::size_t>(task) < requirement_pos.size(),
-                  "task index out of range");
+      checks::task_in_range(user.tasks[k], requirement_pos.size());
       if (k > 0) {
-        MCS_EXPECTS(user.tasks[k - 1] < task, "task sets must be strictly ascending");
+        checks::ascending(user.tasks[k - 1], user.tasks[k]);
       }
-      check_pos(user.pos[k]);
+      checks::pos(user.pos[k]);
     }
   }
 }

@@ -105,7 +105,8 @@ struct MultiTaskInstance {
 
   /// Throws PreconditionError unless every T_j ∈ (0,1), every cost > 0,
   /// every PoS ∈ [0, 1], and every task set is sorted, unique, in range, and
-  /// aligned with its PoS array.
+  /// aligned with its PoS array. The checks are the ones in `checks` below,
+  /// applied to the requirements first, then user by user and entry by entry.
   void validate() const;
 
   /// Copy with one user's declared PoS vector scaled in contribution space
@@ -115,5 +116,20 @@ struct MultiTaskInstance {
   /// Copy without user `user` (ids above shift down by one).
   MultiTaskInstance without_user(UserId user) const;
 };
+
+/// The field checks behind the validate() methods, one field at a time, so
+/// code that reads bids in another layout (MultiTaskView's builder) rejects
+/// a bad field with exactly validate()'s error text. Each throws
+/// PreconditionError.
+namespace checks {
+void requirement(double requirement_pos);  ///< T in (0, 1)
+void cost(double cost);                    ///< c > 0
+void pos(double pos);                      ///< p in [0, 1]
+/// Task and PoS arrays aligned, task set non-empty.
+void bid_shape(const MultiTaskUserBid& bid);
+void task_in_range(TaskIndex task, std::size_t num_tasks);
+/// `task` follows `previous` in a strictly ascending task set.
+void ascending(TaskIndex previous, TaskIndex task);
+}  // namespace checks
 
 }  // namespace mcs::auction

@@ -7,18 +7,23 @@
 
 namespace mcs::auction::multi_task {
 
-MechanismOutcome run_mechanism(const MultiTaskInstance& instance,
-                               const auction::MechanismConfig& config) {
+namespace {
+
+/// The mechanism on a built view. `instance` is the view's source, needed
+/// only by the unmasked reward oracle; null when the caller has no instance.
+MechanismOutcome run_on_view(const MultiTaskView& view, const MultiTaskInstance* instance,
+                             const auction::MechanismConfig& config) {
   MCS_EXPECTS(config.alpha > 0.0, "reward scaling factor must be positive");
+  MCS_EXPECTS(instance != nullptr || config.multi_task.masked_rewards,
+              "unmasked critical-bid re-solves need the instance, not only its view");
 
   const bool telemetry = obs::enabled();
   const auto deadline = common::Deadline::from_budget(config.time_budget_seconds);
   MechanismOutcome outcome;
   outcome.telemetry.enabled = telemetry;
   const obs::PhaseTimer wd_timer(telemetry);
-  // One CSR build serves winner determination AND every critical-bid probe
+  // One CSR view serves winner determination AND every critical-bid probe
   // of every winner — the probes below only layer overlays on top of it.
-  const auto view = MultiTaskView::from_instance(instance);
   const auto greedy = solve_greedy(
       view, ViewOverlay::none(),
       GreedyOptions{.deadline = deadline,
@@ -61,7 +66,7 @@ MechanismOutcome run_mechanism(const MultiTaskInstance& instance,
           slot_options.counters = &per_winner[index];
           return config.multi_task.masked_rewards
                      ? compute_reward(view, winners[index], slot_options)
-                     : compute_reward(instance, winners[index], slot_options);
+                     : compute_reward(*instance, winners[index], slot_options);
         },
         config.reward_worker_budget());
     for (const obs::PhaseCounters& block : per_winner) {
@@ -77,11 +82,22 @@ MechanismOutcome run_mechanism(const MultiTaskInstance& instance,
     outcome.rewards = common::parallel_map<WinnerReward>(
         winners.size(),
         [&](std::size_t index) {
-          return compute_reward(instance, winners[index], reward_options);
+          return compute_reward(*instance, winners[index], reward_options);
         },
         config.reward_worker_budget());
   }
   return outcome;
+}
+
+}  // namespace
+
+MechanismOutcome run_mechanism(const MultiTaskInstance& instance,
+                               const auction::MechanismConfig& config) {
+  return run_on_view(MultiTaskView::from_instance(instance), &instance, config);
+}
+
+MechanismOutcome run_mechanism(const MultiTaskView& view, const auction::MechanismConfig& config) {
+  return run_on_view(view, nullptr, config);
 }
 
 }  // namespace mcs::auction::multi_task

@@ -12,8 +12,18 @@ namespace mcs::auction::multi_task {
 
 /// Runs the full strategy-proof multi-task mechanism. Reads config.alpha,
 /// config.multi_task.*, and the reward-parallelism fields. For infeasible
-/// instances the allocation is infeasible and no rewards are issued.
+/// instances the allocation is infeasible and no rewards are issued. Builds
+/// the instance's view and runs the view entry below on it.
 MechanismOutcome run_mechanism(const MultiTaskInstance& instance,
+                               const auction::MechanismConfig& config = {});
+
+/// The same mechanism on a view the caller built (e.g. with
+/// MultiTaskView::from_slice); bit-identical to the instance entry on the
+/// instance the view was built from. The time budget and the telemetry's
+/// winner-determination time start after the build. Requires
+/// config.multi_task.masked_rewards: the unmasked oracle re-solves instance
+/// copies, so it runs through the instance entry only.
+MechanismOutcome run_mechanism(const MultiTaskView& view,
                                const auction::MechanismConfig& config = {});
 
 }  // namespace mcs::auction::multi_task

@@ -22,37 +22,98 @@ double MultiTaskView::cost_of(const std::vector<UserId>& users) const {
   return total;
 }
 
-MultiTaskView MultiTaskView::from_instance(const MultiTaskInstance& instance) {
-  instance.validate();
-  MultiTaskView view;
-  const std::size_t n = instance.num_users();
-  const auto requirements = instance.requirement_contributions();
-  view.requirements.assign(requirements.begin(), requirements.end());
-  view.offsets.reserve(n + 1);
-  view.costs.reserve(n);
-  std::size_t nnz = 0;
-  for (const auto& user : instance.users) {
-    nnz += user.tasks.size();
+namespace {
+
+/// A whole instance read as its own slice.
+struct WholeInstance {
+  std::size_t num_tasks;
+  std::size_t num_users;
+  TaskIndex task(std::size_t k) const { return static_cast<TaskIndex>(k); }
+  UserId user(std::size_t k) const { return static_cast<UserId>(k); }
+  TaskIndex local(TaskIndex task) const { return task; }
+};
+
+/// One part of a partitioned instance; local() is -1 off the part.
+struct PartOf {
+  const InstanceSlice& slice;
+  std::size_t num_tasks;
+  std::size_t num_users;
+  TaskIndex task(std::size_t k) const { return slice.tasks[k]; }
+  UserId user(std::size_t k) const { return slice.users[k]; }
+  TaskIndex local(TaskIndex task) const {
+    const TaskPlacement& at = slice.placement[static_cast<std::size_t>(task)];
+    return at.part == slice.part ? at.local : -1;
   }
-  view.tasks.reserve(nnz);
-  view.contributions.reserve(nnz);
+};
+
+/// The one fill loop. The checks run in MultiTaskInstance::validate()'s
+/// order on the slice's sub-instance — requirements, then per user the cost,
+/// the bid's shape and each kept entry's range, order and PoS — and each
+/// runs before the value it guards is used, so the first failure is the one
+/// validate() would report.
+template <typename Slice>
+MultiTaskView build(const MultiTaskInstance& flat, const Slice& slice) {
+  MultiTaskView view;
+  view.requirements.reserve(slice.num_tasks);
+  for (std::size_t k = 0; k < slice.num_tasks; ++k) {
+    const auto task = static_cast<std::size_t>(slice.task(k));
+    MCS_EXPECTS(task < flat.num_tasks(), "slice task id out of range");
+    const double requirement = flat.requirement_pos[task];
+    checks::requirement(requirement);
+    view.requirements.push_back(common::contribution_from_pos(requirement));
+  }
+  std::size_t entries = 0;  // an upper bound: a straddler's dropped entries count too
+  for (std::size_t k = 0; k < slice.num_users; ++k) {
+    const auto user = static_cast<std::size_t>(slice.user(k));
+    MCS_EXPECTS(user < flat.num_users(), "slice user id out of range");
+    entries += flat.users[user].tasks.size();
+  }
+  view.offsets.reserve(slice.num_users + 1);
+  view.costs.reserve(slice.num_users);
+  view.tasks.reserve(entries);
+  view.contributions.reserve(entries);
   view.offsets.push_back(0);
-  for (const auto& user : instance.users) {
-    view.costs.push_back(user.cost);
-    for (std::size_t k = 0; k < user.tasks.size(); ++k) {
-      view.tasks.push_back(user.tasks[k]);
-      view.contributions.push_back(common::contribution_from_pos(user.pos[k]));
+  for (std::size_t k = 0; k < slice.num_users; ++k) {
+    const auto& bid = flat.users[static_cast<std::size_t>(slice.user(k))];
+    checks::cost(bid.cost);
+    checks::bid_shape(bid);
+    view.costs.push_back(bid.cost);
+    for (std::size_t e = 0; e < bid.tasks.size(); ++e) {
+      checks::task_in_range(bid.tasks[e], flat.num_tasks());
+      const TaskIndex local = slice.local(bid.tasks[e]);
+      if (local < 0) {
+        continue;
+      }
+      if (view.tasks.size() > view.offsets.back()) {
+        checks::ascending(view.tasks.back(), local);
+      }
+      checks::pos(bid.pos[e]);
+      view.tasks.push_back(local);
+      view.contributions.push_back(common::contribution_from_pos(bid.pos[e]));
     }
     view.offsets.push_back(view.tasks.size());
   }
-  view.initial_effective.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  view.initial_effective.reserve(slice.num_users);
+  for (std::size_t i = 0; i < slice.num_users; ++i) {
     view.initial_effective.push_back(
         effective_contribution(view.user_tasks(static_cast<UserId>(i)),
                                view.user_contributions(static_cast<UserId>(i)),
                                view.requirements));
   }
   return view;
+}
+
+}  // namespace
+
+MultiTaskView MultiTaskView::from_instance(const MultiTaskInstance& instance) {
+  return build(instance, WholeInstance{instance.num_tasks(), instance.num_users()});
+}
+
+MultiTaskView MultiTaskView::from_slice(const MultiTaskInstance& flat,
+                                        const InstanceSlice& slice) {
+  MCS_EXPECTS(slice.placement.size() == flat.num_tasks(),
+              "slice placement must cover every task of the flat instance");
+  return build(flat, PartOf{slice, slice.tasks.size(), slice.users.size()});
 }
 
 ViewOverlay ViewOverlay::without(UserId user) {

@@ -8,6 +8,14 @@
 // number a greedy run reads from the view is bit-identical to what the
 // nested-layout run computes on the fly.
 //
+// One builder fills every view: from_slice reads one part of a partitioned
+// flat instance through its id lists (the geo-sharded service builds each
+// shard's view this way, with no per-shard instance copy), and
+// from_instance is its identity slice. It validates while it fills, with
+// MultiTaskInstance::validate()'s checks in validate()'s order, so a view
+// built from a slice fails exactly as validating the slice's sub-instance
+// would.
+//
 // ViewOverlay answers the reward scheme's two probe shapes — "without user
 // i" and "user i declares total contribution x" — without the O(n·t)
 // instance copy (and its ~2n vector allocations) that without_user /
@@ -29,6 +37,22 @@ namespace mcs::auction::multi_task {
 
 /// Sentinel for "no user" in overlay slots.
 inline constexpr UserId kNoUser = -1;
+
+/// Where one task of a partitioned instance lives.
+struct TaskPlacement {
+  std::size_t part = 0;   ///< the part that owns the task
+  TaskIndex local = -1;   ///< its index among that part's tasks
+};
+
+/// One part of a partitioned flat instance, addressed by ids only. Each of
+/// the part's users keeps her entries on the part's own tasks; entries on
+/// other parts' tasks are dropped.
+struct InstanceSlice {
+  std::size_t part = 0;
+  std::span<const TaskIndex> tasks;          ///< local task → flat task, ascending
+  std::span<const UserId> users;             ///< local user → flat user, ascending
+  std::span<const TaskPlacement> placement;  ///< every flat task's part and local index
+};
 
 struct MultiTaskView {
   /// offsets[i]..offsets[i+1] delimit user i's slice of tasks/contributions.
@@ -75,6 +99,11 @@ struct MultiTaskView {
   /// Builds the view, validating the instance once (the per-probe
   /// solve_greedy calls on the view skip re-validation).
   static MultiTaskView from_instance(const MultiTaskInstance& instance);
+  /// Builds one part's view straight from the flat instance. Bit-identical
+  /// to from_instance of the part's sub-instance (local ids, dropped entries
+  /// removed), and fails with the same error text when that sub-instance is
+  /// invalid.
+  static MultiTaskView from_slice(const MultiTaskInstance& flat, const InstanceSlice& slice);
 };
 
 /// A masked / overridden reading of a MultiTaskView. At most one user is

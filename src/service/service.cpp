@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "auction/multi_task/mechanism.hpp"
 #include "common/check.hpp"
 
 namespace mcs::service {
@@ -537,7 +538,11 @@ RoundOutcome CampaignService::compute(const Request& request) {
       if (serial_shards) {
         std::uint64_t hit = 0;
         std::size_t retries = 0;
-        slot = attempt_shard(request.payload.instance, request.round, deadline, hit, retries);
+        const auction::Engine::SlotRunner run_flat = [&](std::size_t,
+                                                         const auction::MechanismConfig& config) {
+          return auction::multi_task::run_mechanism(request.payload.instance, config);
+        };
+        slot = attempt_shard(run_flat, 0, request.round, deadline, hit, retries);
         out.shard_retries = retries;
       } else {
         slot = engine_.run_one_isolated(request.payload.instance, config_.mechanism);
@@ -547,7 +552,7 @@ RoundOutcome CampaignService::compute(const Request& request) {
       out.error = std::move(slot.error);
       out.shards_run = 1;
     } else {
-      auto partition = partition_round(request.payload, config_.shards);
+      const auto partition = assign_owners(request.payload, config_.shards);
       out.straddlers = partition.straddlers.size();
       if (partition.shards.empty()) {
         // No shard owns a task (a zero-task round): run flat so the outcome
@@ -558,6 +563,20 @@ RoundOutcome CampaignService::compute(const Request& request) {
         out.error = std::move(slot.error);
         out.shards_run = 0;
       } else {
+        // Each engine slot fills its shard's view straight from the
+        // submitted round and runs the mechanism on it, so the view builds
+        // run in parallel and a malformed slice fails only its own slot. The
+        // unmasked-reward oracle re-solves instance copies, so under it the
+        // slot builds the AoS slice instead.
+        const auto& flat = request.payload.instance;
+        const auction::Engine::SlotRunner run_slot =
+            [&](std::size_t slice, const auction::MechanismConfig& config) {
+              return config.multi_task.masked_rewards
+                         ? auction::multi_task::run_mechanism(
+                               slice_view(flat, partition, slice), config)
+                         : auction::multi_task::run_mechanism(
+                               slice_instance(flat, partition, slice), config);
+            };
         std::vector<auction::AuctionOutcome> slots;
         if (serial_shards) {
           // Shards run in slice order, so with no faults and no retries the
@@ -566,22 +585,16 @@ RoundOutcome CampaignService::compute(const Request& request) {
           slots.reserve(partition.shards.size());
           std::uint64_t hit = 0;
           std::size_t retries = 0;
-          for (const auto& slice : partition.shards) {
-            slots.push_back(
-                attempt_shard(slice.instance, request.round, deadline, hit, retries));
+          for (std::size_t s = 0; s < partition.shards.size(); ++s) {
+            slots.push_back(attempt_shard(run_slot, s, request.round, deadline, hit, retries));
           }
           out.shard_retries = retries;
         } else {
-          std::vector<auction::MultiTaskInstance> batch;
-          batch.reserve(partition.shards.size());
-          for (auto& slice : partition.shards) {
-            batch.push_back(std::move(slice.instance));
-          }
-          slots = engine_.run_isolated(batch, config_.mechanism);
+          slots = engine_.run_isolated(partition.shards.size(), run_slot, config_.mechanism);
         }
-        auto merged =
-            merge_outcomes(request.payload.instance, partition, slots,
-                           config_.mechanism.multi_task.partial_coverage, config_.merge_policy);
+        auto merged = merge_outcomes(flat, partition, slots,
+                                     config_.mechanism.multi_task.partial_coverage,
+                                     config_.merge_policy);
         out.status = merged.status;
         out.outcome = std::move(merged.outcome);
         out.error = std::move(merged.error);
@@ -589,8 +602,9 @@ RoundOutcome CampaignService::compute(const Request& request) {
       }
     }
   } catch (const std::exception& e) {
-    // Partitioning rejected the round (e.g. task_cells misaligned with the
-    // instance) — poison this round only, like the engine's isolated path.
+    // The owner pass rejected the round (task_cells misaligned with the
+    // instance, a task id outside the round, a PoS array misaligned with its
+    // tasks) — poison this round only, like the engine's isolated path.
     out.status = auction::AuctionStatus::kFailed;
     out.outcome = auction::MechanismOutcome{};
     out.error = e.what();
@@ -601,15 +615,18 @@ RoundOutcome CampaignService::compute(const Request& request) {
 }
 
 auction::AuctionOutcome CampaignService::attempt_shard(
-    const auction::MultiTaskInstance& instance, RoundId round, const common::Deadline& deadline,
-    std::uint64_t& hit, std::size_t& retries) const {
+    const auction::Engine::SlotRunner& run_slot, std::size_t index, RoundId round,
+    const common::Deadline& deadline, std::uint64_t& hit, std::size_t& retries) const {
+  const auto run_index = [&](std::size_t, const auction::MechanismConfig& config) {
+    return run_slot(index, config);
+  };
   auction::AuctionOutcome slot;
   double backoff = config_.retry.initial_backoff_seconds;
   for (std::size_t attempt = 0;; ++attempt) {
     try {
       common::fault_point(config_.fault_injector.get(), common::FailPoint::kShardRun, round,
                           hit++);
-      slot = engine_.run_one_isolated(instance, config_.mechanism);
+      slot = engine_.run_isolated(1, run_index, config_.mechanism).front();
     } catch (const std::exception& e) {
       // An injected shard failure lands exactly where a real one would: a
       // dead slot for the merge policy to rule on.

@@ -391,11 +391,12 @@ class CampaignService {
   /// destruction) and a synthetic kTimedOut outcome is returned.
   RoundOutcome run_guarded(Request request);
   RoundOutcome compute(const Request& request);
-  /// One shard's mechanism run through the kShardRun fail point and the
-  /// retry/backoff loop. `hit` is the round's running kShardRun hit counter
-  /// (with no faults and no retries, hit == shard slice index); `retries`
-  /// accumulates extra attempts.
-  auction::AuctionOutcome attempt_shard(const auction::MultiTaskInstance& instance, RoundId round,
+  /// Slot `index` of `run_slot` as one-slot engine batches, through the
+  /// kShardRun fail point and the retry/backoff loop. `hit` is the round's
+  /// running kShardRun hit counter (with no faults and no retries, hit ==
+  /// shard slice index); `retries` accumulates extra attempts.
+  auction::AuctionOutcome attempt_shard(const auction::Engine::SlotRunner& run_slot,
+                                        std::size_t index, RoundId round,
                                         const common::Deadline& deadline, std::uint64_t& hit,
                                         std::size_t& retries) const;
   void journal_round(const RoundOutcome& outcome, std::size_t users, std::size_t tasks,

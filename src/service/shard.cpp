@@ -1,6 +1,7 @@
 #include "service/shard.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/math.hpp"
@@ -41,32 +42,80 @@ std::size_t ShardMap::shard_of(geo::CellId cell) const {
 }
 
 // ---------------------------------------------------------------------------
-// partition_round
+// Owner pass and slices
 // ---------------------------------------------------------------------------
 
-RoundPartition partition_round(const GeoRound& round, const ShardMap& map) {
+namespace {
+
+constexpr std::size_t kNoSlice = static_cast<std::size_t>(-1);
+
+struct ShardWeight {
+  std::size_t shard = 0;
+  double contribution = 0.0;
+};
+
+/// Straddler protocol: the owner is the shard with the largest share of the
+/// user's declared contribution, summed in her task order; ties go to the
+/// lowest shard id. `touched` is scratch space reused across users.
+std::size_t straddler_owner(const auction::MultiTaskUserBid& bid,
+                            const std::vector<auction::multi_task::TaskPlacement>& placement,
+                            std::vector<ShardWeight>& touched) {
+  touched.clear();  // |task set| is small
+  for (std::size_t k = 0; k < bid.tasks.size(); ++k) {
+    const std::size_t shard = placement[static_cast<std::size_t>(bid.tasks[k])].part;
+    const double q = common::contribution_from_pos(bid.pos[k]);
+    auto it = std::find_if(touched.begin(), touched.end(),
+                           [shard](const ShardWeight& w) { return w.shard == shard; });
+    if (it == touched.end()) {
+      touched.push_back({shard, q});
+    } else {
+      it->contribution += q;
+    }
+  }
+  // Strict > keeps the first — and therefore lowest-id — of any later
+  // equal-weight shard from taking over after the sort.
+  std::sort(touched.begin(), touched.end(),
+            [](const ShardWeight& a, const ShardWeight& b) { return a.shard < b.shard; });
+  std::size_t owner = touched.front().shard;
+  double best = touched.front().contribution;
+  for (std::size_t k = 1; k < touched.size(); ++k) {
+    if (touched[k].contribution > best) {
+      best = touched[k].contribution;
+      owner = touched[k].shard;
+    }
+  }
+  return owner;
+}
+
+auction::multi_task::InstanceSlice ids_of(const RoundPartition& partition, std::size_t slice) {
+  MCS_EXPECTS(slice < partition.shards.size(), "slice index out of range");
+  const auto& shard = partition.shards[slice];
+  return {shard.shard, shard.global_tasks, shard.global_users, partition.task_placement};
+}
+
+}  // namespace
+
+RoundPartition assign_owners(const GeoRound& round, const ShardMap& map) {
   const auto& instance = round.instance;
   const std::size_t num_tasks = instance.num_tasks();
   MCS_EXPECTS(round.task_cells.size() == num_tasks,
               "GeoRound task_cells must align with the instance's tasks");
 
   RoundPartition partition;
+  auto& placement = partition.task_placement;
 
   // Tasks first: every task lands in exactly one shard, and slices keep
   // tasks in ascending global order so global→local index maps are monotone
   // (a user's ascending task list stays ascending after remapping).
-  std::vector<std::size_t> task_shard(num_tasks);
-  std::vector<std::size_t> slice_of(map.shard_count(), static_cast<std::size_t>(-1));
-  std::vector<auction::TaskIndex> local_task(num_tasks, -1);
+  placement.resize(num_tasks);
+  std::vector<bool> owns_task(map.shard_count(), false);
   for (std::size_t j = 0; j < num_tasks; ++j) {
-    task_shard[j] = map.shard_of(round.task_cells[j]);
+    placement[j].part = map.shard_of(round.task_cells[j]);
+    owns_task[placement[j].part] = true;
   }
+  std::vector<std::size_t> slice_of(map.shard_count(), kNoSlice);
   for (std::size_t shard = 0; shard < map.shard_count(); ++shard) {
-    bool owns_task = false;
-    for (std::size_t j = 0; j < num_tasks; ++j) {
-      owns_task = owns_task || task_shard[j] == shard;
-    }
-    if (!owns_task) {
+    if (!owns_task[shard]) {
       continue;
     }
     slice_of[shard] = partition.shards.size();
@@ -75,20 +124,15 @@ RoundPartition partition_round(const GeoRound& round, const ShardMap& map) {
     partition.shards.push_back(std::move(slice));
   }
   for (std::size_t j = 0; j < num_tasks; ++j) {
-    auto& slice = partition.shards[slice_of[task_shard[j]]];
-    local_task[j] = static_cast<auction::TaskIndex>(slice.global_tasks.size());
+    auto& slice = partition.shards[slice_of[placement[j].part]];
+    placement[j].local = static_cast<auction::TaskIndex>(slice.global_tasks.size());
     slice.global_tasks.push_back(static_cast<auction::TaskIndex>(j));
-    slice.instance.requirement_pos.push_back(instance.requirement_pos[j]);
   }
 
   // Users second, in ascending global id order, so each slice's local user
   // order preserves global order and within-shard lowest-id tie-breaks match
   // the flat run's.
-  struct ShardWeight {
-    std::size_t shard = 0;
-    double contribution = 0.0;
-  };
-  std::vector<ShardWeight> touched;  // reused across users; |task set| is small
+  std::vector<ShardWeight> touched;
   for (std::size_t i = 0; i < instance.num_users(); ++i) {
     const auto& bid = instance.users[i];
     const auto user = static_cast<auction::UserId>(i);
@@ -96,50 +140,68 @@ RoundPartition partition_round(const GeoRound& round, const ShardMap& map) {
       partition.unassigned_users.push_back(user);
       continue;
     }
-    touched.clear();
-    for (std::size_t k = 0; k < bid.tasks.size(); ++k) {
-      const std::size_t shard = task_shard[static_cast<std::size_t>(bid.tasks[k])];
-      const double q = common::contribution_from_pos(bid.pos[k]);
-      auto it = std::find_if(touched.begin(), touched.end(),
-                             [shard](const ShardWeight& w) { return w.shard == shard; });
-      if (it == touched.end()) {
-        touched.push_back({shard, q});
-      } else {
-        it->contribution += q;
-      }
+    MCS_EXPECTS(bid.pos.size() == bid.tasks.size(),
+                "user " + std::to_string(i) + ": " + std::to_string(bid.pos.size()) +
+                    " PoS values for " + std::to_string(bid.tasks.size()) + " tasks");
+    std::size_t owner = kNoSlice;  // the shard of every task so far, unless she straddles
+    bool straddles = false;
+    for (const auction::TaskIndex task : bid.tasks) {
+      MCS_EXPECTS(task >= 0 && static_cast<std::size_t>(task) < num_tasks,
+                  "user " + std::to_string(i) + ": task " + std::to_string(task) +
+                      " outside the round's " + std::to_string(num_tasks) + " tasks");
+      const std::size_t shard = placement[static_cast<std::size_t>(task)].part;
+      straddles = straddles || (owner != kNoSlice && shard != owner);
+      owner = shard;
     }
-    // Straddler protocol: owner = largest declared-contribution share, ties
-    // toward the lowest shard id (strict > keeps the first — and therefore
-    // lowest-id — of any later equal-weight shard from taking over after the
-    // sort below).
-    std::sort(touched.begin(), touched.end(),
-              [](const ShardWeight& a, const ShardWeight& b) { return a.shard < b.shard; });
-    std::size_t owner = touched.front().shard;
-    double best = touched.front().contribution;
-    for (std::size_t k = 1; k < touched.size(); ++k) {
-      if (touched[k].contribution > best) {
-        best = touched[k].contribution;
-        owner = touched[k].shard;
-      }
-    }
-    if (touched.size() > 1) {
+    if (straddles) {
+      owner = straddler_owner(bid, placement, touched);
       partition.straddlers.push_back(user);
+      for (const auction::TaskIndex task : bid.tasks) {
+        if (placement[static_cast<std::size_t>(task)].part != owner) {
+          ++partition.dropped_task_entries;
+        }
+      }
     }
+    partition.shards[slice_of[owner]].global_users.push_back(user);
+  }
+  return partition;
+}
 
-    auto& slice = partition.shards[slice_of[owner]];
+auction::MultiTaskInstance slice_instance(const auction::MultiTaskInstance& flat,
+                                          const RoundPartition& partition, std::size_t slice) {
+  const auto ids = ids_of(partition, slice);
+  auction::MultiTaskInstance sub;
+  sub.requirement_pos.reserve(ids.tasks.size());
+  for (const auction::TaskIndex task : ids.tasks) {
+    sub.requirement_pos.push_back(flat.requirement_pos[static_cast<std::size_t>(task)]);
+  }
+  sub.users.reserve(ids.users.size());
+  for (const auction::UserId user : ids.users) {
+    const auto& bid = flat.users[static_cast<std::size_t>(user)];
     auction::MultiTaskUserBid local;
     local.cost = bid.cost;
     for (std::size_t k = 0; k < bid.tasks.size(); ++k) {
-      const auto task = static_cast<std::size_t>(bid.tasks[k]);
-      if (task_shard[task] == owner) {
-        local.tasks.push_back(local_task[task]);
+      const auto& at = ids.placement[static_cast<std::size_t>(bid.tasks[k])];
+      if (at.part == ids.part) {
+        local.tasks.push_back(at.local);
         local.pos.push_back(bid.pos[k]);
-      } else {
-        ++partition.dropped_task_entries;
       }
     }
-    slice.instance.users.push_back(std::move(local));
-    slice.global_users.push_back(user);
+    sub.users.push_back(std::move(local));
+  }
+  return sub;
+}
+
+auction::multi_task::MultiTaskView slice_view(const auction::MultiTaskInstance& flat,
+                                              const RoundPartition& partition,
+                                              std::size_t slice) {
+  return auction::multi_task::MultiTaskView::from_slice(flat, ids_of(partition, slice));
+}
+
+RoundPartition partition_round(const GeoRound& round, const ShardMap& map) {
+  auto partition = assign_owners(round, map);
+  for (std::size_t s = 0; s < partition.shards.size(); ++s) {
+    partition.shards[s].instance = slice_instance(round.instance, partition, s);
   }
   return partition;
 }

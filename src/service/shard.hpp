@@ -3,6 +3,20 @@
 // shard independently, and merge the per-shard MechanismOutcomes back into
 // one round outcome.
 //
+// The service's flow, with no per-shard copy of the round:
+//
+//   round ──assign_owners──▶ per-shard id lists (tasks, users) + the
+//         round's task → (shard, local index) map; nothing per user
+//   slot k of one Engine batch ──slice_view──▶ shard k's CSR MultiTaskView,
+//         filled straight from the submitted round ──▶ run_mechanism
+//   slots ──merge_outcomes──▶ the round outcome (ids only)
+//
+// View builds therefore run in parallel inside the engine batch, and a
+// malformed slice fails only its own slot. partition_round adds the AoS step
+// (a MultiTaskInstance per shard) for callers that want AoS slices; the
+// service builds one only for the unmasked-reward oracle
+// (MultiTaskKnobs::masked_rewards = false), which re-solves instance copies.
+//
 // Why this is sound: the multi-task mechanism (Algorithms 4 + 5) is
 // separable across tasks. A user only ever affects the greedy cover through
 // the tasks in her declared set, so when every user's task set lies inside
@@ -52,6 +66,7 @@
 #include <vector>
 
 #include "auction/engine.hpp"
+#include "auction/multi_task/view.hpp"
 #include "geo/grid.hpp"
 
 namespace mcs::service {
@@ -102,12 +117,14 @@ struct GeoRound {
   std::vector<geo::CellId> task_cells;
 };
 
-/// One shard's slice of a partitioned round: a self-contained sub-instance
-/// whose local task/user ids map back to the round's global ids. Local order
-/// preserves global order (the partition is stable), so within-shard
-/// lowest-id tie-breaks match the flat run's.
+/// One shard's slice of a partitioned round: local task/user ids map back
+/// to the round's global ids. Local order preserves global order (the
+/// partition is stable), so within-shard lowest-id tie-breaks match the flat
+/// run's.
 struct ShardSlice {
   std::size_t shard = 0;
+  /// The slice as a self-contained sub-instance; filled by partition_round
+  /// only (assign_owners leaves it empty).
   auction::MultiTaskInstance instance;
   std::vector<auction::TaskIndex> global_tasks;  ///< local task → global task
   std::vector<auction::UserId> global_users;     ///< local user → global user
@@ -116,6 +133,8 @@ struct ShardSlice {
 /// A partitioned round. Only shards owning at least one task materialize.
 struct RoundPartition {
   std::vector<ShardSlice> shards;  ///< ascending by shard id
+  /// Global task → its shard id (`part`) and its local index in that slice.
+  std::vector<auction::multi_task::TaskPlacement> task_placement;
   /// Users whose declared task sets spanned more than one shard, ascending.
   /// Each was assigned to one owning shard per the straddler protocol.
   std::vector<auction::UserId> straddlers;
@@ -126,10 +145,31 @@ struct RoundPartition {
   std::size_t dropped_task_entries = 0;
 };
 
-/// Splits a round into per-shard sub-auctions. Pure and deterministic:
-/// depends only on the round and the map, never on thread counts or
-/// scheduling. Requires task_cells aligned with the instance's tasks and
-/// valid cell ids; the instance itself is validated by the mechanism run.
+/// The owner pass: assigns every task to its cell's shard and every user to
+/// one shard, recording ids only (ShardSlice::instance stays empty). Only
+/// straddlers' contributions are computed. Pure and deterministic: depends
+/// only on the round and the map, never on thread counts or scheduling.
+/// Requires task_cells aligned with the instance's tasks and valid cell ids,
+/// and rejects a user whose task ids leave the round or whose PoS array is
+/// not aligned with her tasks (PreconditionError naming the user). Bid values
+/// are validated by the slice's view build or mechanism run.
+RoundPartition assign_owners(const GeoRound& round, const ShardMap& map);
+
+/// Slice `slice` of an owner pass over `flat` as an AoS sub-instance: its
+/// tasks' requirements and its users' bids in local ids, straddlers'
+/// out-of-shard entries dropped. Not validated.
+auction::MultiTaskInstance slice_instance(const auction::MultiTaskInstance& flat,
+                                          const RoundPartition& partition, std::size_t slice);
+
+/// Slice `slice`'s CSR view, filled straight from `flat`: bit-identical to
+/// MultiTaskView::from_instance(slice_instance(...)), and validated with the
+/// same checks and error text.
+auction::multi_task::MultiTaskView slice_view(const auction::MultiTaskInstance& flat,
+                                              const RoundPartition& partition,
+                                              std::size_t slice);
+
+/// assign_owners plus the AoS step: every ShardSlice::instance filled with
+/// slice_instance. The instances are validated by the mechanism run.
 RoundPartition partition_round(const GeoRound& round, const ShardMap& map);
 
 /// What a dead shard (kFailed / kTimedOut engine slot) does to the round.

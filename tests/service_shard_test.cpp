@@ -3,19 +3,27 @@
 // tie-break are deterministic, and the sharded pipeline
 // (partition → per-shard engine → merge) reproduces the flat mechanism
 // BIT-identically on straddler-free instances — feasible, infeasible
-// all-or-nothing, and partial-coverage rounds alike.
+// all-or-nothing, and partial-coverage rounds alike. The service's columnar
+// path (owner pass → per-slot view built from the round → merge) is pinned
+// to that AoS pipeline lane by lane and outcome by outcome.
 #include "service/shard.hpp"
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "auction/engine.hpp"
 #include "auction/multi_task/mechanism.hpp"
+#include "auction/multi_task/view.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "service/service.hpp"
 #include "test_util.hpp"
 
 namespace mcs::service {
@@ -74,7 +82,8 @@ GeoRound residue_pure_round(std::size_t n, std::size_t t, std::size_t groups,
 /// Runs the full sharded pipeline on a round and returns the merged slot.
 auction::AuctionOutcome run_sharded(const GeoRound& round, const ShardMap& map,
                                     const auction::MechanismConfig& config,
-                                    std::size_t workers = 0) {
+                                    std::size_t workers = 0,
+                                    MergePolicy policy = MergePolicy::kPoisonRound) {
   const auto partition = partition_round(round, map);
   std::vector<MultiTaskInstance> batch;
   batch.reserve(partition.shards.size());
@@ -83,7 +92,8 @@ auction::AuctionOutcome run_sharded(const GeoRound& round, const ShardMap& map,
   }
   const auction::Engine engine(auction::EngineOptions{.workers = workers});
   const auto slots = engine.run_isolated(batch, config);
-  return merge_outcomes(round.instance, partition, slots, config.multi_task.partial_coverage);
+  return merge_outcomes(round.instance, partition, slots, config.multi_task.partial_coverage,
+                        policy);
 }
 
 // ---------------------------------------------------------------------------
@@ -230,6 +240,244 @@ TEST(StraddlerProtocol, MisalignedTaskCellsAreRejected) {
   round.instance = test::random_multi_task(4, 3, 0.5, 7);
   round.task_cells = {0, 1};  // one short
   EXPECT_THROW(partition_round(round, ShardMap(2)), common::PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Owner pass input checks
+// ---------------------------------------------------------------------------
+
+/// The what() of the PreconditionError `fn` throws; empty when it does not.
+template <typename Fn>
+std::string precondition_text(Fn&& fn) {
+  try {
+    fn();
+  } catch (const common::PreconditionError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(OwnerPass, TaskIdOutsideTheRoundIsRejectedNamingTheUser) {
+  for (const TaskIndex bad : {TaskIndex{8}, TaskIndex{-1}, TaskIndex{1000000}}) {
+    auto round = arbitrary_round(12, 8, 21);
+    round.instance.users[5].tasks.back() = bad;
+    const auto error = precondition_text([&] { partition_round(round, ShardMap(3)); });
+    EXPECT_NE(error.find("user 5: task " + std::to_string(bad)), std::string::npos) << error;
+  }
+}
+
+TEST(OwnerPass, PosArrayMisalignedWithTasksIsRejectedNamingTheUser) {
+  auto round = arbitrary_round(12, 8, 22);
+  auto& bid = round.instance.users[7];
+  bid.tasks = {1, 4, 6};
+  bid.pos = {0.3};  // shorter than the task set
+  const auto error = precondition_text([&] { partition_round(round, ShardMap(3)); });
+  EXPECT_NE(error.find("user 7: 1 PoS values for 3 tasks"), std::string::npos) << error;
+}
+
+TEST(OwnerPass, ServiceFailsTheMalformedRoundAndServesTheNext) {
+  ServiceConfig config;
+  config.shards = ShardMap(3);
+  CampaignService service(config);
+  auto bad_task = arbitrary_round(12, 8, 23);
+  bad_task.instance.users[2].tasks.back() = 8;
+  auto short_pos = arbitrary_round(12, 8, 24);
+  short_pos.instance.users[4].pos.pop_back();
+  const auto good = arbitrary_round(12, 8, 25);
+
+  const auto first = service.wait_outcome(service.submit_round(bad_task));
+  const auto second = service.wait_outcome(service.submit_round(short_pos));
+  const auto third = service.wait_outcome(service.submit_round(good));
+  EXPECT_EQ(first.status, auction::AuctionStatus::kFailed);
+  EXPECT_NE(first.error.find("user 2: task 8"), std::string::npos) << first.error;
+  EXPECT_EQ(second.status, auction::AuctionStatus::kFailed);
+  EXPECT_NE(second.error.find("user 4:"), std::string::npos) << second.error;
+  const auto expected = run_sharded(good, config.shards, config.mechanism);
+  EXPECT_EQ(third.status, expected.status);
+  EXPECT_EQ(third.error, expected.error);
+  test::expect_identical_outcome(third.outcome, expected.outcome);
+}
+
+// ---------------------------------------------------------------------------
+// Slice-built views ≡ views of the AoS slices, lane by lane
+// ---------------------------------------------------------------------------
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void expect_same_view(const auction::multi_task::MultiTaskView& a,
+                      const auction::multi_task::MultiTaskView& b) {
+  EXPECT_EQ(a.offsets, b.offsets);
+  EXPECT_EQ(a.tasks, b.tasks);
+  EXPECT_TRUE(same_bits(a.contributions, b.contributions));
+  EXPECT_TRUE(same_bits(a.costs, b.costs));
+  EXPECT_TRUE(same_bits(a.requirements, b.requirements));
+  EXPECT_TRUE(same_bits(a.initial_effective, b.initial_effective));
+}
+
+class SliceView : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SliceView, EqualsTheViewOfTheAosSliceLaneByLane) {
+  const auto round = arbitrary_round(60, 24, GetParam() ^ 0x5ea1);
+  for (const std::size_t shard_count : {1u, 2u, 3u, 5u, 16u}) {
+    const ShardMap map(shard_count);
+    const auto owners = assign_owners(round, map);
+    const auto aos = partition_round(round, map);
+    ASSERT_EQ(owners.shards.size(), aos.shards.size());
+    EXPECT_EQ(owners.straddlers, aos.straddlers);
+    EXPECT_EQ(owners.dropped_task_entries, aos.dropped_task_entries);
+    for (std::size_t s = 0; s < owners.shards.size(); ++s) {
+      EXPECT_TRUE(owners.shards[s].instance.users.empty());
+      EXPECT_EQ(owners.shards[s].global_users, aos.shards[s].global_users);
+      expect_same_view(slice_view(round.instance, owners, s),
+                       auction::multi_task::MultiTaskView::from_instance(aos.shards[s].instance));
+    }
+  }
+}
+
+TEST_P(SliceView, IdentitySliceEqualsFromInstance) {
+  const auto instance = test::random_multi_task(40, 12, 0.5, GetParam() ^ 0x1d);
+  std::vector<TaskIndex> tasks(instance.num_tasks());
+  std::iota(tasks.begin(), tasks.end(), 0);
+  std::vector<UserId> users(instance.num_users());
+  std::iota(users.begin(), users.end(), 0);
+  std::vector<auction::multi_task::TaskPlacement> placement;
+  for (const TaskIndex task : tasks) {
+    placement.push_back({.part = 0, .local = task});
+  }
+  expect_same_view(
+      auction::multi_task::MultiTaskView::from_slice(instance, {0, tasks, users, placement}),
+      auction::multi_task::MultiTaskView::from_instance(instance));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SliceView, ::testing::Range<std::uint64_t>(1, 9));
+
+TEST(SliceViewErrors, ABadSliceFailsWithItsSubInstancesErrorText) {
+  // Each corruption lands in one slice; building that slice's view must
+  // throw exactly what validating its AoS sub-instance throws.
+  using Corrupt = void (*)(MultiTaskInstance&);
+  const Corrupt corruptions[] = {
+      [](MultiTaskInstance& m) { m.users[3].cost = 0.0; },
+      [](MultiTaskInstance& m) { m.users[3].cost = -2.0; },
+      [](MultiTaskInstance& m) { m.users[3].pos.front() = 1.5; },
+      [](MultiTaskInstance& m) { m.requirement_pos[2] = 1.0; },
+      [](MultiTaskInstance& m) {
+        auto& bid = m.users[3];
+        bid.tasks.push_back(bid.tasks.back());  // a duplicate entry
+        bid.pos.push_back(0.2);
+      },
+  };
+  for (const Corrupt corrupt : corruptions) {
+    auto round = residue_pure_round(24, 8, 4, 0.4, 31);
+    corrupt(round.instance);
+    const auto owners = assign_owners(round, ShardMap(4));
+    const auto aos = partition_round(round, ShardMap(4));
+    std::size_t failures = 0;
+    for (std::size_t s = 0; s < owners.shards.size(); ++s) {
+      const auto expected = precondition_text([&] {
+        auction::multi_task::MultiTaskView::from_instance(aos.shards[s].instance);
+      });
+      EXPECT_EQ(precondition_text([&] { slice_view(round.instance, owners, s); }), expected);
+      failures += expected.empty() ? 0 : 1;
+    }
+    EXPECT_EQ(failures, 1u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The service's columnar path ≡ the AoS pipeline
+// ---------------------------------------------------------------------------
+
+/// The service's outcomes for `rounds`, submitted in order to one service.
+std::vector<RoundOutcome> service_outcomes(const std::vector<GeoRound>& rounds,
+                                           ServiceConfig config) {
+  CampaignService service(std::move(config));
+  std::vector<RoundId> ids;
+  for (const auto& round : rounds) {
+    ids.push_back(service.submit_round(round));
+  }
+  std::vector<RoundOutcome> outcomes;
+  for (const RoundId id : ids) {
+    outcomes.push_back(service.wait_outcome(id));
+  }
+  return outcomes;
+}
+
+void expect_service_matches_aos(const std::vector<GeoRound>& rounds, const ServiceConfig& config) {
+  const auto served = service_outcomes(rounds, config);
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const auto expected = run_sharded(rounds[r], config.shards, config.mechanism, config.workers,
+                                      config.merge_policy);
+    SCOPED_TRACE("round " + std::to_string(r) + " at " +
+                 std::to_string(config.shards.shard_count()) + " shards, " +
+                 std::to_string(config.workers) + " workers");
+    EXPECT_EQ(served[r].status, expected.status);
+    EXPECT_EQ(served[r].error, expected.error);
+    EXPECT_EQ(served[r].straddlers, partition_round(rounds[r], config.shards).straddlers.size());
+    test::expect_identical_outcome(served[r].outcome, expected.outcome);
+  }
+}
+
+class ServiceColumnarPath : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ServiceColumnarPath, MatchesTheAosPipelineBitForBit) {
+  const std::uint64_t seed = GetParam();
+  const std::vector<GeoRound> rounds = {
+      arbitrary_round(60, 24, seed ^ 0xa5),                   // straddlers
+      residue_pure_round(48, 16, 16, 0.45, seed ^ 0xf1, 0.6),  // straddler-free
+      residue_pure_round(24, 16, 16, 0.97, seed ^ 0xbad, 0.2),  // infeasible
+  };
+  for (const bool partial : {false, true}) {
+    for (const std::size_t shard_count : {2u, 3u, 16u}) {
+      for (const std::size_t workers : {1u, 4u}) {
+        ServiceConfig config;
+        config.shards = ShardMap(shard_count);
+        config.workers = workers;
+        config.mechanism.multi_task.partial_coverage = partial;
+        expect_service_matches_aos(rounds, config);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ServiceColumnarPath, ::testing::Range<std::uint64_t>(1, 5));
+
+TEST(ServiceColumnarPathFaults, ABadSliceFailsAndSalvagesLikeTheAosPipeline) {
+  // One user with cost 0 poisons exactly her shard's slot: kPoisonRound must
+  // carry the same "shard <s>: ..." text, kDegradedMerge the same salvage,
+  // on the batched path and on the serial retry path alike.
+  auto bad = residue_pure_round(48, 16, 4, 0.45, 41, 0.6);
+  bad.instance.users[9].cost = 0.0;
+  const std::vector<GeoRound> rounds = {bad, residue_pure_round(48, 16, 4, 0.45, 42, 0.6)};
+  for (const MergePolicy policy : {MergePolicy::kPoisonRound, MergePolicy::kDegradedMerge}) {
+    for (const std::size_t attempts : {1u, 2u}) {
+      for (const std::size_t workers : {1u, 4u}) {
+        ServiceConfig config;
+        config.shards = ShardMap(4);
+        config.workers = workers;
+        config.merge_policy = policy;
+        config.retry.max_attempts = attempts;
+        config.retry.initial_backoff_seconds = 0.0;
+        expect_service_matches_aos(rounds, config);
+        const auto served = service_outcomes(rounds, config);
+        EXPECT_EQ(served[0].error.rfind("shard ", 0), 0u) << served[0].error;
+        EXPECT_EQ(served[0].status, policy == MergePolicy::kPoisonRound
+                                        ? auction::AuctionStatus::kFailed
+                                        : auction::AuctionStatus::kDegraded);
+        EXPECT_TRUE(served[1].ok());
+      }
+    }
+  }
+}
+
+TEST(ServiceColumnarPathFaults, UnmaskedRewardOracleMatchesTheAosPipeline) {
+  ServiceConfig config;
+  config.shards = ShardMap(3);
+  config.mechanism.multi_task.masked_rewards = false;
+  expect_service_matches_aos({arbitrary_round(40, 12, 51), residue_pure_round(36, 12, 3, 0.45, 52, 0.6)},
+                             config);
 }
 
 // ---------------------------------------------------------------------------
