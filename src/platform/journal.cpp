@@ -1,274 +1,114 @@
 #include "platform/journal.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <limits>
 #include <sstream>
 #include <string>
-#include <string_view>
-
-#include "common/check.hpp"
 
 namespace mcs::platform {
 
 namespace {
 
-constexpr const char* kJournalHeader = "mcs-journal-v1";
+using common::journal::BlockReader;
+using common::journal::format_double;
+using common::journal::Line;
 
-std::string format_double(double value) {
-  char buffer[64];
-  // %.17g round-trips every double exactly, so a resumed campaign replays to
-  // bit-identical state.
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-[[noreturn]] void fail(std::size_t line_number, const std::string& message) {
-  throw common::PreconditionError("campaign journal, line " + std::to_string(line_number) +
-                                  ": " + message);
-}
-
-/// One meaningful journal line. For the `config` and `error` directives the
-/// raw remainder of the line is preserved verbatim (the text may contain
-/// '#'), so it is carried separately from the whitespace-split tokens.
-struct JournalLine {
-  std::size_t number = 0;
-  std::vector<std::string> tokens;
-  std::string raw_text;  ///< only for the `config` and `error` directives
-  /// Byte offset just past this line's '\n' in the journal text; truncating
-  /// to it keeps the line.
-  std::size_t end_offset = 0;
-  /// False when the line is the file's last and lacks a terminating '\n' —
-  /// a torn write. An unterminated line never completes a block, or the next
-  /// append would fuse with it into one malformed line.
-  bool terminated = false;
-};
-
-std::vector<JournalLine> meaningful_lines(const std::string& text) {
-  std::vector<JournalLine> lines;
-  std::size_t number = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    ++number;
-    const auto newline = text.find('\n', pos);
-    const bool terminated = newline != std::string::npos;
-    const std::size_t end_offset = terminated ? newline + 1 : text.size();
-    std::string raw = text.substr(pos, (terminated ? newline : text.size()) - pos);
-    pos = end_offset;
-    if (!raw.empty() && raw.back() == '\r') {
-      raw.pop_back();
-    }
-    const auto first = raw.find_first_not_of(" \t");
-    if (first == std::string::npos || raw[first] == '#') {
-      continue;
-    }
-    const auto first_end = raw.find_first_of(" \t", first);
-    const std::string keyword = raw.substr(first, first_end - first);
-    JournalLine line;
-    line.number = number;
-    line.end_offset = end_offset;
-    line.terminated = terminated;
-    if (keyword == "error" || keyword == "config") {
-      const auto value = raw.find_first_not_of(" \t", first_end);
-      line.tokens = {keyword};
-      line.raw_text = value == std::string::npos ? "" : raw.substr(value);
-    } else {
-      std::string body = raw;
-      const auto comment = body.find('#');
-      if (comment != std::string::npos) {
-        body.resize(comment);
-      }
-      std::istringstream fields(body);
-      std::string token;
-      while (fields >> token) {
-        line.tokens.push_back(std::move(token));
-      }
-    }
-    lines.push_back(std::move(line));
-  }
-  return lines;
-}
-
-double parse_double(const std::string& token, std::size_t line_number) {
-  double value{};
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) {
-    fail(line_number, "malformed number '" + token + "'");
-  }
-  return value;
-}
-
-std::uint64_t parse_u64(const std::string& token, std::size_t line_number) {
-  std::uint64_t value{};
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) {
-    fail(line_number, "malformed count '" + token + "'");
-  }
-  return value;
-}
-
-std::size_t parse_size(const std::string& token, std::size_t line_number) {
-  return static_cast<std::size_t>(parse_u64(token, line_number));
-}
-
-std::int32_t parse_i32(const std::string& token, std::size_t line_number) {
-  std::int64_t value{};
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end ||
-      value < std::numeric_limits<std::int32_t>::min() ||
-      value > std::numeric_limits<std::int32_t>::max()) {
-    fail(line_number, "malformed id '" + token + "'");
-  }
-  return static_cast<std::int32_t>(value);
-}
-
-bool parse_flag(const JournalLine& line) {
-  if (line.tokens.size() != 2 || (line.tokens[1] != "0" && line.tokens[1] != "1")) {
-    fail(line.number, "expected '" + line.tokens.front() + " 0|1'");
-  }
-  return line.tokens[1] == "1";
-}
-
-double parse_double_directive(const JournalLine& line) {
+std::size_t parse_size_directive(const BlockReader& block, const Line& line) {
   if (line.tokens.size() != 2) {
-    fail(line.number, "expected '" + line.tokens.front() + " <value>'");
+    block.fail(line, "expected '" + line.keyword() + " <count>'");
   }
-  return parse_double(line.tokens[1], line.number);
+  return block.to_u64(line, 1);
 }
 
-std::size_t parse_size_directive(const JournalLine& line) {
-  if (line.tokens.size() != 2) {
-    fail(line.number, "expected '" + line.tokens.front() + " <count>'");
-  }
-  return parse_size(line.tokens[1], line.number);
-}
-
-/// Parses one complete block, lines[begin..end] inclusive where lines[end]
-/// is the `end round` terminator.
-JournalEntry parse_block(const std::vector<JournalLine>& lines, std::size_t begin,
-                         std::size_t end) {
-  const auto& head = lines[begin];
-  if (head.tokens.size() != 3 || head.tokens[0] != "begin" || head.tokens[1] != "round") {
-    fail(head.number, "expected 'begin round <n>'");
+/// Parses one complete `round` block's body.
+JournalEntry parse_entry(BlockReader& block) {
+  if (block.kind() != "round") {
+    block.fail(block.begin_line(), "expected 'begin round <n>'");
   }
   JournalEntry entry;
-  entry.report.round = parse_size(head.tokens[2], head.number);
+  entry.report.round = block.id();
 
   bool have_rng = false;
   bool have_positions = false;
   std::size_t reputation_count = 0;
   bool have_reputation = false;
-  for (std::size_t i = begin + 1; i < end; ++i) {
-    const auto& line = lines[i];
-    const auto& keyword = line.tokens.front();
+  while (!block.at_end()) {
+    const auto& line = block.next();
+    const auto& keyword = line.keyword();
     if (keyword == "held") {
-      entry.report.held = parse_flag(line);
+      entry.report.held = block.flag(line);
     } else if (keyword == "degraded") {
-      entry.report.degraded = parse_flag(line);
+      entry.report.degraded = block.flag(line);
     } else if (keyword == "winners") {
-      entry.report.winners = parse_size_directive(line);
+      entry.report.winners = parse_size_directive(block, line);
     } else if (keyword == "social_cost") {
-      entry.report.social_cost = parse_double_directive(line);
+      entry.report.social_cost = block.value(line);
     } else if (keyword == "payout") {
-      entry.report.payout = parse_double_directive(line);
+      entry.report.payout = block.value(line);
     } else if (keyword == "tasks_posted") {
-      entry.report.tasks_posted = parse_size_directive(line);
+      entry.report.tasks_posted = parse_size_directive(block, line);
     } else if (keyword == "tasks_completed") {
-      entry.report.tasks_completed = parse_size_directive(line);
+      entry.report.tasks_completed = parse_size_directive(block, line);
     } else if (keyword == "mean_required_pos") {
-      entry.report.mean_required_pos = parse_double_directive(line);
+      entry.report.mean_required_pos = block.value(line);
     } else if (keyword == "mean_achieved_pos") {
-      entry.report.mean_achieved_pos = parse_double_directive(line);
+      entry.report.mean_achieved_pos = block.value(line);
     } else if (keyword == "error") {
       entry.report.error = line.raw_text;
     } else if (keyword == "telemetry") {
       // Optional: blocks without this line (telemetry off, or written before
       // the record existed) leave the default disabled/all-zeros record.
       if (line.tokens.size() != 14) {
-        fail(line.number,
-             "expected 'telemetry <wd_s> <rw_s> <degraded> <5 wd counters> <5 rw counters>'");
+        block.fail(line,
+                   "expected 'telemetry <wd_s> <rw_s> <degraded> <5 wd counters> <5 rw counters>'");
       }
       auto& t = entry.report.telemetry;
       t.enabled = true;
-      t.winner_determination_seconds = parse_double(line.tokens[1], line.number);
-      t.rewards_seconds = parse_double(line.tokens[2], line.number);
-      t.degraded_events = parse_u64(line.tokens[3], line.number);
+      t.winner_determination_seconds = block.to_double(line, 1);
+      t.rewards_seconds = block.to_double(line, 2);
+      t.degraded_events = block.to_u64(line, 3);
       std::size_t k = 4;
       for (obs::PhaseCounters* phase : {&t.winner_determination, &t.rewards}) {
-        phase->probes = parse_u64(line.tokens[k++], line.number);
-        phase->deadline_polls = parse_u64(line.tokens[k++], line.number);
-        phase->rounds = parse_u64(line.tokens[k++], line.number);
-        phase->heap_reevaluations = parse_u64(line.tokens[k++], line.number);
-        phase->bisection_steps = parse_u64(line.tokens[k++], line.number);
+        phase->probes = block.to_u64(line, k++);
+        phase->deadline_polls = block.to_u64(line, k++);
+        phase->rounds = block.to_u64(line, k++);
+        phase->heap_reevaluations = block.to_u64(line, k++);
+        phase->bisection_steps = block.to_u64(line, k++);
       }
     } else if (keyword == "winning_taxis") {
-      if (line.tokens.size() < 2) {
-        fail(line.number, "expected 'winning_taxis <count> <ids>...'");
-      }
-      const std::size_t count = parse_size(line.tokens[1], line.number);
-      if (line.tokens.size() != 2 + count) {
-        fail(line.number, "winning taxi count does not match the declared count");
-      }
-      for (std::size_t k = 0; k < count; ++k) {
-        entry.report.winning_taxis.push_back(parse_i32(line.tokens[2 + k], line.number));
-      }
+      entry.report.winning_taxis = block.ids(line);
     } else if (keyword == "positions") {
-      if (line.tokens.size() < 2) {
-        fail(line.number, "expected 'positions <count> <cells>...'");
-      }
-      const std::size_t count = parse_size(line.tokens[1], line.number);
-      if (line.tokens.size() != 2 + count) {
-        fail(line.number, "position count does not match the declared count");
-      }
-      for (std::size_t k = 0; k < count; ++k) {
-        entry.positions.push_back(parse_i32(line.tokens[2 + k], line.number));
-      }
+      entry.positions = block.ids(line);
       have_positions = true;
     } else if (keyword == "rng") {
       if (line.tokens.size() != 5) {
-        fail(line.number, "expected 'rng <s0> <s1> <s2> <s3>'");
+        block.fail(line, "expected 'rng <s0> <s1> <s2> <s3>'");
       }
       for (std::size_t k = 0; k < 4; ++k) {
-        entry.rng_state[k] = parse_u64(line.tokens[1 + k], line.number);
+        entry.rng_state[k] = block.to_u64(line, 1 + k);
       }
       have_rng = true;
     } else if (keyword == "reputation") {
-      reputation_count = parse_size_directive(line);
+      reputation_count = parse_size_directive(block, line);
       have_reputation = true;
     } else if (keyword == "rep") {
       if (line.tokens.size() != 6) {
-        fail(line.number, "expected 'rep <taxi> <rounds> <expected> <variance> <realized>'");
+        block.fail(line, "expected 'rep <taxi> <rounds> <expected> <variance> <realized>'");
       }
       ReputationRecord record;
-      const trace::TaxiId taxi = parse_i32(line.tokens[1], line.number);
-      record.rounds = parse_size(line.tokens[2], line.number);
-      record.expected_successes = parse_double(line.tokens[3], line.number);
-      record.variance = parse_double(line.tokens[4], line.number);
-      record.realized_successes = parse_size(line.tokens[5], line.number);
+      const trace::TaxiId taxi = block.to_i32(line, 1);
+      record.rounds = block.to_u64(line, 2);
+      record.expected_successes = block.to_double(line, 3);
+      record.variance = block.to_double(line, 4);
+      record.realized_successes = block.to_u64(line, 5);
       entry.reputation.emplace_back(taxi, record);
-    } else if (keyword == "begin") {
-      fail(line.number, "unterminated block: 'begin' before the previous 'end round'");
     } else {
-      fail(line.number, "unknown directive '" + keyword + "'");
+      block.fail(line, "unknown directive '" + keyword + "'");
     }
   }
-
-  const auto& tail = lines[end];
-  if (tail.tokens.size() != 3 || tail.tokens[1] != "round" ||
-      parse_size(tail.tokens[2], tail.number) != entry.report.round) {
-    fail(tail.number, "expected 'end round " + std::to_string(entry.report.round) + "'");
-  }
   if (!have_positions || !have_rng || !have_reputation) {
-    fail(tail.number, "block is missing its positions/rng/reputation snapshot");
+    block.fail(block.begin_line(), "block is missing its positions/rng/reputation snapshot");
   }
   if (entry.reputation.size() != reputation_count) {
-    fail(tail.number, "reputation record count does not match the declared count");
+    block.fail(block.begin_line(), "reputation record count does not match the declared count");
   }
   return entry;
 }
@@ -306,16 +146,7 @@ std::string to_text(const JournalEntry& entry) {
     out << "\n";
   }
   if (!entry.report.error.empty()) {
-    // The format is line-oriented: a newline inside the captured exception
-    // text would end the directive early and corrupt every block after it,
-    // so flatten line breaks to spaces.
-    std::string error = entry.report.error;
-    for (char& c : error) {
-      if (c == '\n' || c == '\r') {
-        c = ' ';
-      }
-    }
-    out << "error " << error << "\n";
+    out << "error " << common::journal::flatten_newlines(entry.report.error) << "\n";
   }
   out << "positions " << entry.positions.size();
   for (geo::CellId cell : entry.positions) {
@@ -359,66 +190,12 @@ std::string config_fingerprint(const CampaignConfig& config) {
 }
 
 ReplayedJournal parse_journal(const std::string& text) {
-  const auto lines = meaningful_lines(text);
-  if (lines.empty()) {
-    // Empty (or comment-only) file: an empty journal, not corruption — a
-    // writer that died before its first byte left nothing to recover.
-    return {};
-  }
-  if (lines.front().tokens.size() != 1 || lines.front().tokens.front() != kJournalHeader) {
-    // A write torn inside the very first line leaves an unterminated strict
-    // prefix of the header — a torn tail to drop, not corruption to throw.
-    if (lines.size() == 1 && !lines.front().terminated && lines.front().tokens.size() == 1 &&
-        std::string_view(kJournalHeader).starts_with(lines.front().tokens.front())) {
-      return {};
-    }
-    fail(lines.front().number, "missing mcs-journal-v1 header");
-  }
-  ReplayedJournal result;
-  if (!lines.front().terminated) {
-    return result;  // torn header write: nothing valid yet, rewrite from scratch
-  }
-  result.valid_bytes = lines.front().end_offset;
-  std::size_t i = 1;
-  if (i < lines.size() && lines[i].tokens.front() == "config") {
-    if (!lines[i].terminated) {
-      return result;  // torn config write: drop it, the header stands
-    }
-    result.config = lines[i].raw_text;
-    result.valid_bytes = lines[i].end_offset;
-    ++i;
-  }
-  while (i < lines.size()) {
-    // A block only counts once its newline-terminated `end round` line is
-    // present; an unterminated tail is a torn append (the process died
-    // mid-write) and is dropped on replay.
-    std::size_t end = i;
-    while (end < lines.size() && lines[end].tokens.front() != "end") {
-      ++end;
-    }
-    if (end == lines.size() || !lines[end].terminated) {
-      break;  // torn tail: no complete terminator ever written
-    }
-    const bool is_last_block = [&] {
-      for (std::size_t k = end + 1; k < lines.size(); ++k) {
-        if (lines[k].tokens.front() == "end") {
-          return false;
-        }
-      }
-      return true;
-    }();
-    try {
-      result.entries.push_back(parse_block(lines, i, end));
-    } catch (const common::PreconditionError&) {
-      if (is_last_block) {
-        break;  // a torn write can also truncate mid-line; drop the tail
-      }
-      throw;  // corruption before the last complete block is a real error
-    }
-    result.valid_bytes = lines[end].end_offset;
-    i = end + 1;
-  }
-  return result;
+  ReplayedJournal journal;
+  static_cast<common::journal::Frame&>(journal) =
+      common::journal::parse(kJournalFormat, text, [&journal](BlockReader& block) {
+        journal.entries.push_back(parse_entry(block));
+      });
+  return journal;
 }
 
 std::vector<JournalEntry> journal_from_text(const std::string& text) {
@@ -426,46 +203,11 @@ std::vector<JournalEntry> journal_from_text(const std::string& text) {
 }
 
 ReplayedJournal load_journal(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (!std::filesystem::exists(path)) {
-      return {};  // no journal yet: the campaign has not started
-    }
-    throw std::runtime_error("cannot open campaign journal for reading: " + path.string());
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_journal(buffer.str());
+  return parse_journal(common::journal::read(kJournalFormat, path));
 }
 
 std::vector<JournalEntry> replay_journal(const std::filesystem::path& path) {
   return load_journal(path).entries;
-}
-
-JournalWriter::JournalWriter(const std::filesystem::path& path,
-                             const std::string& config_fingerprint)
-    : path_(path) {
-  const bool fresh = !std::filesystem::exists(path) ||
-                     std::filesystem::file_size(path) == 0;
-  out_.open(path, std::ios::binary | std::ios::app);
-  if (!out_) {
-    throw std::runtime_error("cannot open campaign journal for appending: " + path.string());
-  }
-  if (fresh) {
-    out_ << kJournalHeader << "\n";
-    if (!config_fingerprint.empty()) {
-      out_ << "config " << config_fingerprint << "\n";
-    }
-    out_.flush();
-  }
-}
-
-void JournalWriter::append(const JournalEntry& entry) {
-  out_ << to_text(entry);
-  out_.flush();
-  if (!out_) {
-    throw std::runtime_error("failed appending to campaign journal: " + path_.string());
-  }
 }
 
 }  // namespace mcs::platform

@@ -4,13 +4,12 @@
 // state needed to resume — fleet positions, the 256-bit RNG state, and the
 // reputation ledger — so a killed campaign restarts from the last journaled
 // round and replays to a state bit-identical to an uninterrupted run
-// (doubles are written with %.17g and round-trip exactly).
+// (doubles round-trip exactly).
 //
-// Format, following the auction::io text conventions ('#' comments and blank
-// lines ignored; the `config` and `error` directives instead take the raw
-// remainder of their line, since captured exception text may contain
-// anything — though serialization flattens newlines in error text to spaces,
-// so a block can never be torn open by the message it carries):
+// This header owns the record grammar and the fingerprint. The file framing
+// (header, `config` line, `begin`/`end` blocks, comments, raw `config` and
+// `error` text), the torn-tail rule and the resume step are the shared
+// journal substrate's: see common/journal.hpp.
 //
 //     mcs-journal-v1
 //     config seed=77 tasks=6 ...        # fingerprint of the journaling run
@@ -25,6 +24,7 @@
 //     mean_required_pos 0.6
 //     mean_achieved_pos 0.71
 //     winning_taxis 2 14 37          # count, then taxi ids
+//     telemetry 0.01 0.2 0 ...       # optional; only when telemetry was on
 //     error <raw text>               # only present when non-empty
 //     positions 50 102 97 ...        # count, then one cell per fleet taxi
 //     rng 123 456 789 1011           # xoshiro256** state words
@@ -32,11 +32,8 @@
 //     rep 14 3 2.1 0.63 2            # taxi rounds expected variance realized
 //     end round 0
 //
-// A block is only valid once its newline-terminated `end round N` line is
-// present, so a torn tail (the process died mid-append) is detected and
-// dropped on replay; corruption BEFORE the last complete block throws
-// instead. Resuming truncates the file to the valid prefix before appending,
-// so a torn tail can never merge with the re-run rounds written after it.
+// The body lines may come in any order. Round ids are not checked for
+// sequence here; resume requires them contiguous from 0.
 //
 // The `config` line fingerprints the campaign knobs that determine each
 // round's outcome (seed, task/bidder counts, alpha, budget, ...). Resume
@@ -48,17 +45,19 @@
 #pragma once
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/journal.hpp"
 #include "platform/platform.hpp"
 
 namespace mcs::platform {
+
+/// The campaign journal's file format.
+inline constexpr common::journal::Format kJournalFormat{"mcs-journal-v1", "campaign journal"};
 
 /// One journaled round: the report plus the platform state snapshot taken
 /// right after the round ran.
@@ -71,9 +70,7 @@ struct JournalEntry {
 };
 
 /// Serializes one entry as a journal block (without the file header).
-/// Newlines inside the error text are flattened to spaces — the format is
-/// line-oriented, and a raw '\n' would terminate the directive early and
-/// corrupt every block after it.
+/// Newlines inside the error text are flattened to spaces.
 std::string to_text(const JournalEntry& entry);
 
 /// The campaign-config fingerprint written as the journal's `config` line.
@@ -81,17 +78,10 @@ std::string to_text(const JournalEntry& entry);
 /// the format notes above) and `journal_path` itself.
 std::string config_fingerprint(const CampaignConfig& config);
 
-/// A parsed journal: the complete entries, plus what resume needs to append
-/// safely after a crash.
-struct ReplayedJournal {
+/// A parsed journal: the frame (valid prefix, `config` fingerprint) plus the
+/// complete entries.
+struct ReplayedJournal : common::journal::Frame {
   std::vector<JournalEntry> entries;
-  /// Byte length of the valid prefix — header, `config` line, and every
-  /// complete block. Anything past it is a torn tail from a crashed append;
-  /// resume truncates the file here before appending new rounds.
-  std::size_t valid_bytes = 0;
-  /// Raw `config` fingerprint recorded when the journal was created; empty
-  /// when the journal has none.
-  std::string config;
 };
 
 /// Parses a full journal file's text. Throws PreconditionError (with the
@@ -109,21 +99,5 @@ ReplayedJournal load_journal(const std::filesystem::path& path);
 
 /// Convenience wrapper around load_journal returning just the entries.
 std::vector<JournalEntry> replay_journal(const std::filesystem::path& path);
-
-/// Appends entries to a journal file, creating it (with the format header
-/// and, when non-empty, the `config` fingerprint line) when absent or empty.
-/// Each append is flushed before returning, so the journal never lags the
-/// campaign by more than the block being written.
-class JournalWriter {
- public:
-  explicit JournalWriter(const std::filesystem::path& path,
-                         const std::string& config_fingerprint = {});
-
-  void append(const JournalEntry& entry);
-
- private:
-  std::filesystem::path path_;
-  std::ofstream out_;
-};
 
 }  // namespace mcs::platform

@@ -1,7 +1,7 @@
 #include "platform/platform.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 
 #include "common/check.hpp"
 #include "common/distributions.hpp"
@@ -113,22 +113,15 @@ geo::CellId Platform::position_of(trace::TaxiId taxi) const {
 CampaignReport Platform::run_campaign() {
   CampaignReport report;
   std::size_t start_round = 0;
-  std::unique_ptr<JournalWriter> journal;
+  std::optional<common::journal::Writer> journal;
   if (!config_.journal_path.empty()) {
     // Resume: fold every journaled round back into the report and restore
     // the platform state captured after the last one. The replayed rounds
     // are bit-identical to what an uninterrupted run produced, because the
     // journal stores every double at full precision.
     const auto replayed = load_journal(config_.journal_path);
-    const auto fingerprint = config_fingerprint(config_);
-    if (replayed.config.empty()) {
-      MCS_EXPECTS(replayed.entries.empty(),
-                  "campaign journal has rounds but no config fingerprint");
-    } else {
-      MCS_EXPECTS(replayed.config == fingerprint,
-                  "campaign journal was written under a different campaign "
-                  "configuration; resuming would splice incompatible rounds");
-    }
+    journal.emplace(common::journal::resume(kJournalFormat, config_.journal_path, replayed,
+                                            config_fingerprint(config_)));
     for (std::size_t k = 0; k < replayed.entries.size(); ++k) {
       const auto& entry = replayed.entries[k];
       MCS_EXPECTS(entry.report.round == k, "campaign journal rounds are not contiguous");
@@ -147,14 +140,6 @@ CampaignReport Platform::run_campaign() {
       }
       start_round = last.report.round + 1;
     }
-    // Drop any torn tail before appending: the re-run rounds must follow the
-    // last complete block, or the next replay would meet the torn `begin`
-    // with complete blocks after it and reject the whole journal.
-    if (std::filesystem::exists(config_.journal_path) &&
-        std::filesystem::file_size(config_.journal_path) > replayed.valid_bytes) {
-      std::filesystem::resize_file(config_.journal_path, replayed.valid_bytes);
-    }
-    journal = std::make_unique<JournalWriter>(config_.journal_path, fingerprint);
   }
   for (std::size_t round = start_round; round < config_.rounds; ++round) {
     const double budget_left = config_.budget - report.total_payout;
@@ -165,7 +150,7 @@ CampaignReport Platform::run_campaign() {
       entry.positions = positions_;
       entry.rng_state = rng_.state();
       entry.reputation.assign(reputation_.records().begin(), reputation_.records().end());
-      journal->append(entry);
+      journal->append(to_text(entry), round);
     }
     accumulate(report, round_report);
     report.rounds.push_back(std::move(round_report));

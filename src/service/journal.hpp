@@ -4,11 +4,12 @@
 // restarted on the same journal serves those rounds straight from disk
 // (RoundOutcome::replayed_from_journal) instead of recomputing them, so a
 // crashed traffic stream resumes with every settled round bit-identical
-// (doubles are written with %.17g and round-trip exactly).
+// (doubles round-trip exactly).
 //
-// Format, following the platform journal's text conventions ('#' comments
-// and blank lines ignored; the `config` and `error` directives take the raw
-// remainder of their line, with newlines in error text flattened to spaces):
+// This header owns the record grammars and the fingerprint. The file framing
+// (header, `config` line, `begin`/`end` blocks, comments, raw `config` and
+// `error` text), the torn-tail rule and the resume step are the shared
+// journal substrate's: see common/journal.hpp.
 //
 //     mcs-service-journal-v1
 //     config shards=4 policy=0 alpha=10 ...   # fingerprint of the service
@@ -45,32 +46,31 @@
 //     winners 1 1
 //     end epoch 0
 //
-// Epoch ids are their own sequence, contiguous from 0, interleaved with
-// round blocks in whatever order the service settled them.
+// Body lines come in exactly the order shown. Round ids and epoch ids are
+// each their own sequence, contiguous from 0 (the format's sequential ids),
+// interleaved in whatever order the service settled them.
 //
-// A block is only valid once its newline-terminated `end round N` (or
-// `end epoch N`) line is
-// present: a torn tail (the service died mid-append) is detected and dropped
-// on replay, and the writer truncates to the valid prefix before appending.
-// Corruption before the last complete block throws. The `config` line
-// fingerprints every knob that shapes a round's outcome (shard map,
-// mechanism config); replaying under a different configuration throws, since
-// the journaled outcomes would not match what the service would compute.
+// The `config` line fingerprints every knob that shapes a round's outcome
+// (shard map, mechanism config); replaying under a different configuration
+// throws, since the journaled outcomes would not match what the service
+// would compute.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "auction/engine.hpp"
 #include "auction/online/mechanism.hpp"
-#include "common/fault_injection.hpp"
+#include "common/journal.hpp"
 
 namespace mcs::service {
+
+/// The service journal's file format.
+inline constexpr common::journal::Format kServiceJournalFormat{
+    "mcs-service-journal-v1", "service journal", /*sequential_ids=*/true};
 
 /// Round identifier assigned by the service, sequential from 0.
 using RoundId = std::uint64_t;
@@ -112,17 +112,14 @@ struct ServiceEpochRecord {
 std::string to_text(const ServiceJournalRecord& record);
 std::string to_text(const ServiceEpochRecord& record);
 
-/// A parsed service journal: complete records plus what a safe append needs.
-struct ReplayedServiceJournal {
+/// A parsed service journal: the frame (valid prefix, `config` fingerprint)
+/// plus the complete records.
+struct ReplayedServiceJournal : common::journal::Frame {
   std::vector<ServiceJournalRecord> records;  ///< ascending, contiguous from 0
   /// Online epochs, ascending and contiguous from 0 — their own sequence,
   /// interleaved with round blocks in file order. Empty for journals written
   /// before the online ingestion path existed.
   std::vector<ServiceEpochRecord> epochs;
-  /// Byte length of the valid prefix; anything past it is a torn tail.
-  std::size_t valid_bytes = 0;
-  /// Raw `config` fingerprint; empty when the journal has none.
-  std::string config;
 };
 
 /// Parses a full journal's text. Throws PreconditionError (with line number)
@@ -134,26 +131,17 @@ ReplayedServiceJournal parse_service_journal(const std::string& text);
 /// other I/O failures throw std::runtime_error naming the path.
 ReplayedServiceJournal load_service_journal(const std::filesystem::path& path);
 
-/// Appends records to a journal file, creating it (header + `config` line)
-/// when absent or empty. Each append is flushed before returning.
-class ServiceJournalWriter {
+/// A journal writer that appends service records, creating the file (header
+/// + `config` line) when absent or empty. Each append is flushed before
+/// returning; set_fault_injector installs the kJournalAppend fail point,
+/// whose stream is the round or epoch id.
+class ServiceJournalWriter : public common::journal::Writer {
  public:
   explicit ServiceJournalWriter(const std::filesystem::path& path,
                                 const std::string& config_fingerprint = {});
 
-  /// Installs the kJournalAppend fail point (test/bench facility). The fault
-  /// fires before any byte is written, so the journal stays a valid prefix.
-  void set_fault_injector(std::shared_ptr<const common::FaultInjector> injector);
-
   void append(const ServiceJournalRecord& record);
   void append(const ServiceEpochRecord& record);
-
- private:
-  void append_text(const std::string& text, std::uint64_t fault_stream);
-
-  std::filesystem::path path_;
-  std::ofstream out_;
-  std::shared_ptr<const common::FaultInjector> fault_injector_;
 };
 
 }  // namespace mcs::service

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -14,11 +13,7 @@ namespace mcs::service {
 
 namespace {
 
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
+using common::journal::format_double;
 
 /// Registry ids of the service's process-wide metrics, resolved once.
 struct ServiceMetrics {
@@ -144,26 +139,12 @@ CampaignService::CampaignService(const ServiceConfig& config)
               "ranges over the GLOBAL without-i iteration sequence); use kBinarySearch or a "
               "single shard");
   if (!config_.journal_path.empty()) {
-    const auto fingerprint = service_config_fingerprint(config_);
     auto replayed = load_service_journal(config_.journal_path);
-    if (replayed.config.empty()) {
-      MCS_EXPECTS(replayed.records.empty() && replayed.epochs.empty(),
-                  "service journal has rounds but no config fingerprint");
-    } else {
-      MCS_EXPECTS(replayed.config == fingerprint,
-                  "service journal was written under a different service configuration; "
-                  "replaying it would serve outcomes this service would not compute");
-    }
+    journal_.emplace(common::journal::resume(kServiceJournalFormat, config_.journal_path, replayed,
+                                             service_config_fingerprint(config_)));
+    journal_->set_fault_injector(config_.fault_injector);
     journaled_ = std::move(replayed.records);
     journaled_epochs_ = std::move(replayed.epochs);
-    // Drop any torn tail before appending, as the platform journal does: the
-    // next round's block must follow the last complete one.
-    if (std::filesystem::exists(config_.journal_path) &&
-        std::filesystem::file_size(config_.journal_path) > replayed.valid_bytes) {
-      std::filesystem::resize_file(config_.journal_path, replayed.valid_bytes);
-    }
-    journal_ = std::make_unique<ServiceJournalWriter>(config_.journal_path, fingerprint);
-    journal_->set_fault_injector(config_.fault_injector);
   }
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
@@ -364,6 +345,35 @@ ServiceStats CampaignService::stats() const {
   return stats_;
 }
 
+template <typename Outcome, typename MakeRecord>
+void CampaignService::journal(Outcome& outcome, std::uint64_t id, std::size_t on_disk,
+                              const char* kind, const MakeRecord& make_record) {
+  // A replayed id is already on disk, and so is a failed replay's (a shape
+  // mismatch): appending either again would duplicate the id and break the
+  // journal's contiguous-from-0 invariant on the next load.
+  if (!journal_ || outcome.replayed_from_journal || id < on_disk) {
+    return;
+  }
+  if (!journal_healthy_) {
+    // Quarantined by an earlier failed append: the skipped block keeps the
+    // on-disk prefix contiguous, and the lost durability stays visible on
+    // every affected round and epoch.
+    outcome.journal_error = std::string("journal quarantined by an earlier append failure; ") +
+                            kind + " not journaled";
+    return;
+  }
+  try {
+    journal_->append(to_text(make_record()), id);
+  } catch (const std::exception& e) {
+    // One failed append quarantines journaling for this lifetime, for rounds
+    // and epochs alike (they share the file): a skipped block would break
+    // its sequence's contiguity and brick every later replay. The file keeps
+    // its valid prefix; the outcome stands, just not durably.
+    journal_healthy_ = false;
+    outcome.journal_error = std::string("journal append failed: ") + e.what();
+  }
+}
+
 void CampaignService::dispatcher_loop() {
   for (;;) {
     Request request;
@@ -384,7 +394,9 @@ void CampaignService::dispatcher_loop() {
       // single O(n log n) pass, so the watchdog/retry ladder that guards
       // round computation would be pure overhead here.
       EpochOutcome out = compute_epoch(request);
-      journal_epoch(out, request.arrivals, out.journal_error);
+      journal(out, out.epoch, journaled_epochs_.size(), "epoch", [&] {
+        return ServiceEpochRecord{out.epoch, out.status, request.arrivals, out.outcome, out.error};
+      });
       publish_epoch(std::move(out));
       continue;
     }
@@ -409,7 +421,10 @@ void CampaignService::dispatcher_loop() {
       out.error = e.what();
     }
 
-    journal_round(out, users, tasks, out.journal_error);
+    journal(out, out.round, journaled_.size(), "round", [&] {
+      return ServiceJournalRecord{out.round,      out.status,     users,       tasks,
+                                  out.shards_run, out.straddlers, out.outcome, out.error};
+    });
     publish(std::move(out));
   }
 }
@@ -658,7 +673,8 @@ EpochOutcome CampaignService::compute_epoch(const Request& request) {
 
   // Durability mirrors rounds: a journaled epoch is served from disk,
   // bit-identically, unless the re-fed arrivals diverge from what was
-  // journaled (%.17g round-trips, so exact equality is the right test).
+  // journaled (doubles round-trip exactly, so exact equality is the right
+  // test).
   if (request.epoch < journaled_epochs_.size()) {
     const auto& record = journaled_epochs_[static_cast<std::size_t>(request.epoch)];
     bool matches = record.arrivals.size() == request.arrivals.size();
@@ -698,39 +714,6 @@ EpochOutcome CampaignService::compute_epoch(const Request& request) {
   return out;
 }
 
-void CampaignService::journal_epoch(const EpochOutcome& outcome,
-                                    const std::vector<auction::online::Arrival>& arrivals,
-                                    std::string& journal_error) {
-  if (!journal_ || outcome.replayed_from_journal) {
-    return;
-  }
-  // A failed replay (arrival mismatch) is NOT replayed_from_journal, but its
-  // block already exists on disk — appending again would duplicate the id
-  // and break the journal's contiguous-from-0 invariant on the next load.
-  if (outcome.epoch < journaled_epochs_.size()) {
-    return;
-  }
-  if (!journal_healthy_) {
-    journal_error = "journal quarantined by an earlier append failure; epoch not journaled";
-    return;
-  }
-  ServiceEpochRecord record;
-  record.epoch = outcome.epoch;
-  record.status = outcome.status;
-  record.arrivals = arrivals;
-  record.outcome = outcome.outcome;
-  record.error = outcome.error;
-  try {
-    journal_->append(record);
-  } catch (const std::exception& e) {
-    // Same quarantine as rounds: epochs and rounds share the file, so one
-    // failed append stops BOTH sequences from appending (each would
-    // otherwise grow a gap).
-    journal_healthy_ = false;
-    journal_error = std::string("journal append failed: ") + e.what();
-  }
-}
-
 void CampaignService::publish_epoch(EpochOutcome outcome) {
   obs::Registry::global().add(ServiceMetrics::get().online_accepts,
                               static_cast<std::int64_t>(outcome.outcome.accepted));
@@ -762,45 +745,6 @@ void CampaignService::publish_epoch(EpochOutcome outcome) {
     obs::Registry::global().add(ServiceMetrics::get().epochs_completed, 1);
   }
   round_done_.notify_all();
-}
-
-void CampaignService::journal_round(const RoundOutcome& outcome, std::size_t users,
-                                    std::size_t tasks, std::string& journal_error) {
-  if (!journal_ || outcome.replayed_from_journal) {
-    return;
-  }
-  // A replay-mismatch failure carries an id whose block is already on disk;
-  // appending it again would duplicate the id and break the journal's
-  // contiguous-from-0 invariant on the next load.
-  if (outcome.round < journaled_.size()) {
-    return;
-  }
-  if (!journal_healthy_) {
-    // Quarantined by an earlier failed append: the skipped block keeps the
-    // on-disk prefix contiguous, and the lost durability stays visible on
-    // every affected round.
-    journal_error = "journal quarantined by an earlier append failure; round not journaled";
-    return;
-  }
-  ServiceJournalRecord record;
-  record.round = outcome.round;
-  record.status = outcome.status;
-  record.users = users;
-  record.tasks = tasks;
-  record.shards_run = outcome.shards_run;
-  record.straddlers = outcome.straddlers;
-  record.outcome = outcome.outcome;
-  record.error = outcome.error;
-  try {
-    journal_->append(record);
-  } catch (const std::exception& e) {
-    // One failed append quarantines journaling for this lifetime: a skipped
-    // block would break the journal's contiguous-from-0 invariant and brick
-    // every later replay. The file keeps its valid prefix; the round's
-    // outcome stands, just not durably.
-    journal_healthy_ = false;
-    journal_error = std::string("journal append failed: ") + e.what();
-  }
 }
 
 void CampaignService::publish(RoundOutcome outcome) {

@@ -399,24 +399,25 @@ class CampaignService {
                                         std::size_t index, RoundId round,
                                         const common::Deadline& deadline, std::uint64_t& hit,
                                         std::size_t& retries) const;
-  void journal_round(const RoundOutcome& outcome, std::size_t users, std::size_t tasks,
-                     std::string& journal_error);
+  /// Appends a settled round's or epoch's block (`make_record()`, stream
+  /// `id`) unless the id is replayed or already on disk (below `on_disk`),
+  /// or journaling is quarantined; records why on outcome.journal_error.
+  template <typename Outcome, typename MakeRecord>
+  void journal(Outcome& outcome, std::uint64_t id, std::size_t on_disk, const char* kind,
+               const MakeRecord& make_record);
   void publish(RoundOutcome outcome);
   /// Seals the open epoch under `lock` (which must hold mutex_); shared by
   /// flush_epoch and the submit_arrival auto-flush. May wait for queue
   /// space, releasing the lock while it does.
   std::optional<EpochId> flush_epoch_locked(std::unique_lock<std::mutex>& lock);
   EpochOutcome compute_epoch(const Request& request);
-  void journal_epoch(const EpochOutcome& outcome,
-                     const std::vector<auction::online::Arrival>& arrivals,
-                     std::string& journal_error);
   void publish_epoch(EpochOutcome outcome);
 
   ServiceConfig config_;
   auction::Engine engine_;
   std::vector<ServiceJournalRecord> journaled_;  ///< rounds replayed at startup
   std::vector<ServiceEpochRecord> journaled_epochs_;  ///< epochs replayed at startup
-  std::unique_ptr<ServiceJournalWriter> journal_;
+  std::optional<common::journal::Writer> journal_;
   /// Cleared by the first failed append: a skipped block would break the
   /// journal's contiguous-from-0 invariant, so one failure quarantines
   /// journaling for the rest of this lifetime (the file stays a valid,

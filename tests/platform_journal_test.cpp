@@ -237,6 +237,34 @@ TEST_F(JournalFixture, TornTrailingBlockIsDroppedAndRewritten) {
   expect_campaign_identical(again.run_campaign(), expected);
 }
 
+TEST_F(JournalFixture, TornConfigLineDoesNotBrickTheJournal) {
+  // A crash while the journal was being created tore its `config` line.
+  // Resume must start the file afresh: kept as a bare header, the rounds
+  // journaled after it would have no fingerprint, and the next restart would
+  // refuse the whole journal.
+  const auto fingerprint = config_fingerprint(campaign_config(true));
+  {
+    std::ofstream out(journal_path_, std::ios::binary | std::ios::trunc);
+    out << "mcs-journal-v1\n" << ("config " + fingerprint + "\n").substr(0, 10);
+  }
+  auto truncated = campaign_config(true);
+  truncated.rounds = 3;
+  Platform(city_, fleet_, truncated).run_campaign();
+  ASSERT_EQ(load_journal(journal_path_).config, fingerprint);
+
+  // Restart twice: the first serves rounds 0-2 from the journal and runs the
+  // rest, the second serves every round and appends nothing.
+  Platform uninterrupted(city_, fleet_, campaign_config(false));
+  const auto expected = uninterrupted.run_campaign();
+  Platform resumed(city_, fleet_, campaign_config(true));
+  expect_campaign_identical(resumed.run_campaign(), expected);
+  const auto size_after = std::filesystem::file_size(journal_path_);
+  Platform again(city_, fleet_, campaign_config(true));
+  expect_campaign_identical(again.run_campaign(), expected);
+  EXPECT_EQ(std::filesystem::file_size(journal_path_), size_after);
+  EXPECT_EQ(replay_journal(journal_path_).size(), expected.rounds.size());
+}
+
 TEST_F(JournalFixture, ResumingUnderADifferentConfigurationThrows) {
   auto truncated = campaign_config(true);
   truncated.rounds = 3;

@@ -378,6 +378,43 @@ TEST_F(JournalPathFixture, TornTailIsDroppedAndRecomputed) {
   EXPECT_FALSE(resumed.wait_outcome(2).replayed_from_journal);
 }
 
+TEST_F(JournalPathFixture, TornConfigLineDoesNotBrickTheJournal) {
+  // A crash while the journal was being created tore its `config` line.
+  // Resume must start the file afresh: kept as a bare header, the rounds
+  // journaled after it would have no fingerprint, and the next restart would
+  // refuse the whole journal.
+  ServiceConfig config;
+  config.journal_path = journal_path_;
+  {
+    std::ofstream out(journal_path_, std::ios::binary | std::ios::trunc);
+    out << "mcs-service-journal-v1\n"
+        << ("config " + service_config_fingerprint(config) + "\n").substr(0, 10);
+  }
+  std::vector<RoundOutcome> computed;
+  {
+    CampaignService service{config};
+    EXPECT_EQ(service.journaled_rounds(), 0u);
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      service.submit_round(flat_round(14, 4, 820 + k));
+    }
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      computed.push_back(service.wait_outcome(k));
+    }
+  }
+  for (int restart = 0; restart < 2; ++restart) {
+    CampaignService resumed{config};
+    EXPECT_EQ(resumed.journaled_rounds(), 3u) << "restart " << restart;
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      resumed.submit_round(flat_round(14, 4, 820 + k));
+    }
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      const auto replayed = resumed.wait_outcome(k);
+      EXPECT_TRUE(replayed.replayed_from_journal) << "restart " << restart;
+      test::expect_identical_outcome(replayed.outcome, computed[k].outcome);
+    }
+  }
+}
+
 TEST_F(JournalPathFixture, DifferentConfigurationRefusesTheJournal) {
   ServiceConfig config;
   config.journal_path = journal_path_;
