@@ -285,10 +285,13 @@ std::string build_multi_task_scaling_record() {
           GreedyOptions{.algorithm = auction::GreedyAlgorithm::kReferenceScan}));
     });
 
-    // Phase 2: per-winner critical bids, serial for a clean split.
-    const auto winners =
-        auction::multi_task::solve_greedy(view, ViewOverlay::none()).allocation.winners;
-    const RewardOptions masked_options{.alpha = 10.0};
+    // Phase 2: per-winner critical bids, serial for a clean split. The lazy
+    // path is given the winner-determination run, as run_mechanism does.
+    const auto winner_determination = auction::multi_task::solve_greedy(
+        view, ViewOverlay::none(), GreedyOptions{.record_residuals = true});
+    const auto& winners = winner_determination.allocation.winners;
+    const RewardOptions masked_options{.alpha = 10.0,
+                                       .winner_determination = &winner_determination};
     const RewardOptions copied_options{.alpha = 10.0,
                                        .algorithm = auction::GreedyAlgorithm::kReferenceScan,
                                        .masked_resolves = false};

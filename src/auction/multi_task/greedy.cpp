@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <queue>
+#include <utility>
 
 #include "auction/multi_task/gain.hpp"
 #include "common/check.hpp"
@@ -17,6 +18,44 @@ double effective_of(const MultiTaskView& view, const ViewOverlay& overlay, UserI
                     std::span<const double> residual) {
   return effective_contribution(view.user_tasks(user), overlay.contributions_of(view, user),
                                 residual);
+}
+
+/// Deducts the user's contributions from the residuals: the loop's update.
+void deduct(const MultiTaskView& view, const ViewOverlay& overlay, UserId user,
+            std::vector<double>& residual) {
+  const auto tasks = view.user_tasks(user);
+  const auto contributions = overlay.contributions_of(view, user);
+  for (std::size_t k = 0; k < tasks.size(); ++k) {
+    const auto task = static_cast<std::size_t>(tasks[k]);
+    residual[task] = std::max(0.0, residual[task] - contributions[k]);
+  }
+}
+
+/// The state a run starts from: the residuals after a prefix of picks, and
+/// those picks, which stay blocked. An empty prefix leaves the requirements.
+struct Start {
+  std::vector<double> residual;
+  std::vector<bool> picked;     ///< per user
+  std::vector<UserId> winners;  ///< the prefix's picks, in order
+};
+
+Start start_after(const MultiTaskView& view, const ViewOverlay& overlay,
+                  std::span<const GreedyStep> prefix) {
+  Start start{{view.requirements.begin(), view.requirements.end()},
+              std::vector<bool>(view.num_users(), false),
+              {}};
+  start.winners.reserve(prefix.size());
+  for (const GreedyStep& step : prefix) {
+    const auto user = static_cast<std::size_t>(step.selected);
+    MCS_EXPECTS(user < view.num_users() && !start.picked[user],
+                "a resumed prefix must pick distinct users of the view");
+    MCS_EXPECTS(!overlay.excludes(step.selected) && step.selected != overlay.overridden_user,
+                "the overlay must leave a resumed prefix's picks unchanged");
+    start.picked[user] = true;
+    start.winners.push_back(step.selected);
+    deduct(view, overlay, step.selected, start.residual);
+  }
+  return start;
 }
 
 /// One round's argmax: the user, her gain, and her ratio.
@@ -47,8 +86,8 @@ GreedyResult finish_partial(const MultiTaskView& view, GreedyResult result,
 class ReferencePicker {
  public:
   ReferencePicker(const MultiTaskView& view, const ViewOverlay& overlay,
-                  obs::PhaseCounters* counters)
-      : view_(view), overlay_(overlay), counters_(counters), selected_(view.num_users(), false) {}
+                  obs::PhaseCounters* counters, const Start& start)
+      : view_(view), overlay_(overlay), counters_(counters), selected_(start.picked) {}
 
   std::optional<Pick> next(const std::vector<double>& residual) {
     UserId best = -1;
@@ -94,23 +133,27 @@ class ReferencePicker {
 /// yields the true argmax, and ordering equal ratios by ascending user id
 /// reproduces the reference scan's lowest-id tie-break: a smaller-id user
 /// whose stale bound ties the fresh top would still sit above it, so she is
-/// recomputed first and, on a true tie, selected first.
+/// recomputed first and, on a true tie, selected first. The start heap holds
+/// every candidate's fresh gain at the start residuals.
 class LazyPicker {
  public:
-  LazyPicker(const MultiTaskView& view, const ViewOverlay& overlay, obs::PhaseCounters* counters)
+  LazyPicker(const MultiTaskView& view, const ViewOverlay& overlay, obs::PhaseCounters* counters,
+             const Start& start)
       : view_(view), overlay_(overlay), counters_(counters) {
+    const bool cold = start.winners.empty();
     std::vector<Entry> entries;
     entries.reserve(view.num_users());
     for (std::size_t i = 0; i < view.num_users(); ++i) {
       const auto user = static_cast<UserId>(i);
-      if (overlay.excludes(user)) {
+      if (overlay.excludes(user) || start.picked[i]) {
         continue;
       }
-      // Round 0's residuals ARE the requirements, so the precomputed
-      // first-round gains apply; only an overridden user needs a fresh scan.
-      const double effective = user == overlay.overridden_user
-                                   ? effective_of(view, overlay, user, view.requirements)
-                                   : view.initial_effective[i];
+      // A cold run's start residuals ARE the requirements, so the
+      // precomputed first-round gains apply; only an overridden user needs
+      // a fresh scan. A resumed run scans every candidate once.
+      const double effective = cold && user != overlay.overridden_user
+                                   ? view.initial_effective[i]
+                                   : effective_of(view, overlay, user, start.residual);
       if (effective <= 0.0) {
         continue;
       }
@@ -168,9 +211,10 @@ class LazyPicker {
 
 template <typename Picker>
 GreedyResult run_greedy(const MultiTaskView& view, const ViewOverlay& overlay,
-                        const GreedyOptions& options, Picker picker) {
+                        const GreedyOptions& options, Start start, Picker& picker) {
   GreedyResult result;
-  std::vector<double> residual(view.requirements.begin(), view.requirements.end());
+  result.allocation.winners = std::move(start.winners);
+  std::vector<double> residual = std::move(start.residual);
 
   while (any_residual(residual)) {
     if (options.counters != nullptr) {
@@ -196,12 +240,7 @@ GreedyResult run_greedy(const MultiTaskView& view, const ViewOverlay& overlay,
     result.steps.push_back({pick->user, pick->effective, pick->ratio,
                             options.record_residuals ? residual : std::vector<double>{}});
     result.allocation.winners.push_back(pick->user);
-    const auto tasks = view.user_tasks(pick->user);
-    const auto contributions = overlay.contributions_of(view, pick->user);
-    for (std::size_t k = 0; k < tasks.size(); ++k) {
-      const auto task = static_cast<std::size_t>(tasks[k]);
-      residual[task] = std::max(0.0, residual[task] - contributions[k]);
-    }
+    deduct(view, overlay, pick->user, residual);
   }
 
   result.allocation.feasible = true;
@@ -222,11 +261,21 @@ GreedyResult solve_greedy(const MultiTaskInstance& instance, const GreedyOptions
 
 GreedyResult solve_greedy(const MultiTaskView& view, const ViewOverlay& overlay,
                           const GreedyOptions& options) {
+  return solve_greedy(view, overlay, options, {});
+}
+
+GreedyResult solve_greedy(const MultiTaskView& view, const ViewOverlay& overlay,
+                          const GreedyOptions& options, std::span<const GreedyStep> prefix) {
+  auto start = start_after(view, overlay, prefix);
   switch (options.algorithm) {
-    case GreedyAlgorithm::kLazy:
-      return run_greedy(view, overlay, options, LazyPicker(view, overlay, options.counters));
-    case GreedyAlgorithm::kReferenceScan:
-      return run_greedy(view, overlay, options, ReferencePicker(view, overlay, options.counters));
+    case GreedyAlgorithm::kLazy: {
+      LazyPicker picker(view, overlay, options.counters, start);
+      return run_greedy(view, overlay, options, std::move(start), picker);
+    }
+    case GreedyAlgorithm::kReferenceScan: {
+      ReferencePicker picker(view, overlay, options.counters, start);
+      return run_greedy(view, overlay, options, std::move(start), picker);
+    }
   }
   throw common::PreconditionError("unknown greedy algorithm");
 }

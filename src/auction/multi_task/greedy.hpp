@@ -23,8 +23,17 @@
 // MultiTaskView run the same algorithms against the flat CSR layout through
 // an exclusion/override overlay — the allocation-free probe path of the
 // reward scheme — and report winners under ORIGINAL user ids.
+//
+// A view run can also resume from a prefix of an earlier run's picks: the
+// residuals after those picks are rebuilt with the loop's own update, the
+// picks are blocked, and the argmax continues. Both pickers return the exact
+// argmax with the lowest-id tie-break from any state, so a resumed run's
+// remaining steps are the cold run's, double for double. The reward scheme
+// resumes each winner's without-i run from the winner-determination run at
+// the step that picked her (reward.hpp; DESIGN.md §8).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "auction/instance.hpp"
@@ -47,9 +56,9 @@ struct GreedyStep {
   /// Her contribution-cost ratio at that point.
   double ratio = 0.0;
   /// Residual requirements Q̄ at the start of the iteration. Populated only
-  /// under GreedyOptions::record_residuals — the copy is O(t) per step, so
-  /// the hot path skips it; the binary-search reward rule opts in for the
-  /// one without-i run whose log its replay probes consume (reward.cpp).
+  /// under GreedyOptions::record_residuals — the copy is O(t) per step. The
+  /// binary-search reward rule's replay probes read them: the mechanism's
+  /// winner-determination run and each resumed without-i run record them.
   std::vector<double> residual_before;
 };
 
@@ -65,8 +74,9 @@ struct GreedyOptions {
   bool keep_partial = false;
   /// Argmax strategy; kLazy and kReferenceScan produce identical results.
   GreedyAlgorithm algorithm = GreedyAlgorithm::kLazy;
-  /// Snapshot the residual vector into every GreedyStep (tests/debugging
-  /// only; off keeps the hot path free of per-step O(t) copies).
+  /// Snapshot the residual vector into every GreedyStep, at O(t) per step.
+  /// The mechanism turns it on for its winner-determination run, whose
+  /// steps the reward probes replay; off, the loop copies nothing.
   bool record_residuals = false;
   /// When non-null, accumulates rounds (greedy picks), deadline polls, and
   /// gain re-evaluations inside the argmax (lazy-heap stale recomputes for
@@ -99,5 +109,17 @@ GreedyResult solve_greedy(const MultiTaskInstance& instance, const GreedyOptions
 /// bit-identical to solving the equivalent materialized copy.
 GreedyResult solve_greedy(const MultiTaskView& view, const ViewOverlay& overlay,
                           const GreedyOptions& options = {});
+
+/// The same run resumed after `prefix`, the first steps of a run on the same
+/// view with no overlay. Those picks are applied to the requirements in
+/// order with the loop's own max(0, Q̄ - q) update and blocked, and the
+/// argmax continues from there. Exact when the overlay changes none of the
+/// prefix's rounds, as excluding a user picked later does: the allocation
+/// and the steps after the prefix are bit-identical to the cold run's.
+/// `steps` holds only the steps after the prefix; the allocation includes
+/// the prefix's picks. Telemetry counts only the resumed rounds. An empty
+/// prefix is the cold run.
+GreedyResult solve_greedy(const MultiTaskView& view, const ViewOverlay& overlay,
+                          const GreedyOptions& options, std::span<const GreedyStep> prefix);
 
 }  // namespace mcs::auction::multi_task

@@ -24,11 +24,14 @@ MechanismOutcome run_on_view(const MultiTaskView& view, const MultiTaskInstance*
   const obs::PhaseTimer wd_timer(telemetry);
   // One CSR view serves winner determination AND every critical-bid probe
   // of every winner — the probes below only layer overlays on top of it.
+  // The run records its residuals: each winner's without-i run resumes from
+  // it at the step that picked her, and the replay probes read its steps.
   const auto greedy = solve_greedy(
       view, ViewOverlay::none(),
       GreedyOptions{.deadline = deadline,
                     .keep_partial = config.multi_task.partial_coverage,
                     .algorithm = config.multi_task.winner_determination,
+                    .record_residuals = true,
                     .counters = telemetry ? &outcome.telemetry.winner_determination : nullptr});
   if (telemetry) {
     outcome.telemetry.winner_determination_seconds = wd_timer.seconds();
@@ -49,10 +52,12 @@ MechanismOutcome run_on_view(const MultiTaskView& view, const MultiTaskInstance*
                                      .rule = config.multi_task.critical_bid_rule,
                                      .deadline = deadline,
                                      .algorithm = config.multi_task.winner_determination,
-                                     .masked_resolves = config.multi_task.masked_rewards};
+                                     .masked_resolves = config.multi_task.masked_rewards,
+                                     .winner_determination = &greedy};
   // Per-winner critical bids are independent; fan them out across the shared
   // pool (parallel_map assembles results in submission order, bit-identical
-  // to the serial loop). Each probe polls the same deadline token.
+  // to the serial loop). Each probe polls the same deadline token, and every
+  // worker reads the winner-determination run above, which outlives them.
   const auto& winners = outcome.allocation.winners;
   const obs::PhaseTimer reward_timer(telemetry);
   if (telemetry) {

@@ -1,10 +1,11 @@
 #include "auction/multi_task/reward.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <span>
 
 #include "auction/multi_task/gain.hpp"
-#include "auction/multi_task/greedy.hpp"
 #include "common/check.hpp"
 #include "common/math.hpp"
 
@@ -33,6 +34,40 @@ void count_replay_probe(const RewardOptions& options) {
 // Masked probes: one shared CSR view, per-probe overlays, zero copies.
 // ---------------------------------------------------------------------------
 
+/// The without-i run's iteration log, joined: the winner-determination
+/// run's steps before i's pick, read in place, then the resumed run's own
+/// steps. `rest` also carries the run's feasibility and allocation.
+struct WithoutLog {
+  std::span<const GreedyStep> prefix;
+  GreedyResult rest;
+
+  std::array<std::span<const GreedyStep>, 2> parts() const { return {prefix, rest.steps}; }
+};
+
+/// Winner i's without-i run, resumed from options.winner_determination at
+/// the step that picked her when it is set, solved cold otherwise.
+WithoutLog solve_without(const MultiTaskView& view, UserId winner, const RewardOptions& options,
+                         bool record_residuals) {
+  WithoutLog log;
+  if (const GreedyResult* main = options.winner_determination; main != nullptr) {
+    MCS_EXPECTS(main->allocation.feasible && !main->steps.empty() &&
+                    std::ranges::equal(main->steps.front().residual_before,
+                                       view.requirement_span()),
+                "the winner-determination run must be a feasible run on the view, recorded "
+                "with residuals");
+    const auto picked = std::find_if(main->steps.begin(), main->steps.end(),
+                                     [winner](const GreedyStep& step) {
+                                       return step.selected == winner;
+                                     });
+    MCS_EXPECTS(picked != main->steps.end(), "the winner-determination run must pick the winner");
+    log.prefix = {main->steps.data(), static_cast<std::size_t>(picked - main->steps.begin())};
+  }
+  auto greedy_options = probe_options(options);
+  greedy_options.record_residuals = record_residuals;
+  log.rest = solve_greedy(view, ViewOverlay::without(winner), greedy_options, log.prefix);
+  return log;
+}
+
 /// Whether user i would enter the greedy cover when declaring
 /// `declared_total`, answered by REPLAYING the recorded without-i run
 /// instead of re-solving. The with-i greedy run picks exactly the without-i
@@ -42,26 +77,28 @@ void count_replay_probe(const RewardOptions& options) {
 /// tie-break, the reference scan's rule verbatim. All doubles involved are
 /// the ones a full re-solve would compute, so the answer is bit-identical;
 /// the cost is O(rounds · |S_i|) per probe instead of a full re-solve.
-/// Precondition: `without` is a feasible run recorded with
-/// GreedyOptions::record_residuals (i's pivotality was already ruled out) —
-/// feasibility with i present at any declaration follows, since the other
-/// users alone cover the requirements.
-bool replay_wins(const MultiTaskView& view, const GreedyResult& without, UserId user,
+/// Precondition: `without` is a feasible run whose every step was recorded
+/// with GreedyOptions::record_residuals (i's pivotality was already ruled
+/// out) — feasibility with i present at any declaration follows, since the
+/// other users alone cover the requirements.
+bool replay_wins(const MultiTaskView& view, const WithoutLog& without, UserId user,
                  double declared_total) {
   const auto overlay = ViewOverlay::with_declared_total_contribution(view, user, declared_total);
   const auto tasks = view.user_tasks(user);
   const auto contributions = overlay.contributions_of(view, user);
   const double cost = view.costs[static_cast<std::size_t>(user)];
-  for (const auto& step : without.steps) {
-    const double effective = effective_contribution(tasks, contributions, step.residual_before);
-    if (effective <= 0.0) {
-      // Residuals only shrink along the run, so a vanished gain never
-      // recovers: i can no longer be selected in any later round.
-      break;
-    }
-    const double ratio = effective / cost;
-    if (ratio > step.ratio || (ratio == step.ratio && user < step.selected)) {
-      return true;
+  for (const auto steps : without.parts()) {
+    for (const auto& step : steps) {
+      const double effective = effective_contribution(tasks, contributions, step.residual_before);
+      if (effective <= 0.0) {
+        // Residuals only shrink along the run, so a vanished gain never
+        // recovers: i can no longer be selected in any later round.
+        return false;
+      }
+      const double ratio = effective / cost;
+      if (ratio > step.ratio || (ratio == step.ratio && user < step.selected)) {
+        return true;
+      }
     }
   }
   return false;
@@ -72,19 +109,22 @@ bool replay_wins(const MultiTaskView& view, const GreedyResult& without, UserId 
 double iteration_min_critical(const MultiTaskView& view, UserId winner,
                               const RewardOptions& options) {
   const double cost_i = view.costs[static_cast<std::size_t>(winner)];
-  const auto without = solve_greedy(view, ViewOverlay::without(winner), probe_options(options));
-  if (!without.allocation.feasible) {
+  const auto without = solve_without(view, winner, options, /*record_residuals=*/false);
+  if (!without.rest.allocation.feasible) {
     // Winner is pivotal: with any positive declaration the greedy loop must
     // eventually select her, so her critical contribution vanishes.
     return 0.0;
   }
   // Masked runs keep original ids, so no reduced-id translation is needed.
   double critical = std::numeric_limits<double>::infinity();
-  for (const auto& step : without.steps) {
-    const double cost_k = view.costs[static_cast<std::size_t>(step.selected)];
-    // Σ_j min{Q̄_j, q_k^j} is recorded as the step's effective contribution;
-    // beating user k's ratio requires contribution >= c_i/c_k times it.
-    critical = std::min(critical, (cost_i / cost_k) * step.effective_contribution);
+  for (const auto steps : without.parts()) {
+    for (const auto& step : steps) {
+      const double cost_k = view.costs[static_cast<std::size_t>(step.selected)];
+      // Σ_j min{Q̄_j, q_k^j} is recorded as the step's effective
+      // contribution; beating user k's ratio requires contribution >=
+      // c_i/c_k times it.
+      critical = std::min(critical, (cost_i / cost_k) * step.effective_contribution);
+    }
   }
   MCS_ENSURES(critical < std::numeric_limits<double>::infinity(),
               "a feasible without-i run must have at least one iteration");
@@ -95,13 +135,12 @@ double iteration_min_critical(const MultiTaskView& view, UserId winner,
 /// contribution (along the winner's own task-PoS direction) that still wins.
 double binary_search_critical(const MultiTaskView& view, UserId winner,
                               const RewardOptions& options) {
-  // ONE recorded without-i solve powers every bisection probe below via
+  // ONE recorded without-i run powers every bisection probe below via
   // replay_wins — the reward phase's dominant cost drops from ~50 full
-  // re-solves per winner to a single one.
-  auto without_options = probe_options(options);
-  without_options.record_residuals = true;
-  const auto without = solve_greedy(view, ViewOverlay::without(winner), without_options);
-  if (!without.allocation.feasible) {
+  // re-solves per winner to a single one, itself resumed mid-run when the
+  // caller passed its winner-determination run.
+  const auto without = solve_without(view, winner, options, /*record_residuals=*/true);
+  if (!without.rest.allocation.feasible) {
     return 0.0;  // pivotal, as above
   }
   const double declared = view.total_contribution(winner);

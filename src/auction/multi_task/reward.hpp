@@ -23,19 +23,31 @@
 // contribution is 0 under both rules.
 //
 // Probe cost: naively every rule re-runs the greedy cover dozens of times
-// per winner. The default path instead solves ONE recorded without-i run
-// per winner against the shared MultiTaskView (exclusion overlay, no O(n·t)
+// per winner. The default path instead needs ONE recorded without-i run per
+// winner against the shared MultiTaskView (exclusion overlay, no O(n·t)
 // instance copy) and answers each bisection probe by REPLAYING that log:
 // the with-i run tracks the without-i run round for round until i first
 // tops the argmax, so "does i win at declaration q" reduces to comparing
 // i's ratio against each recorded round's winner at that round's residuals
 // — O(rounds · |S_i|) per probe, bit-identical to a full re-solve (see
-// DESIGN.md §8). RewardOptions::masked_resolves = false restores the legacy
+// DESIGN.md §8).
+//
+// Nor is that without-i run solved from scratch when the caller hands over
+// its winner-determination run (RewardOptions::winner_determination, as the
+// mechanism does). Up to the step that picked i, the without-i run IS that
+// run: i was never the argmax before, so removing her changes no pick and
+// no residual. The without-i log is therefore the winner-determination
+// run's steps before i's pick, read in place, joined to a greedy run
+// resumed from that state (solve_greedy with a prefix), bit-identical to
+// the cold solve. Without the run, the prefix is empty: the same code, cold.
+//
+// RewardOptions::masked_resolves = false restores the legacy
 // copied-instance full-re-solve probes, kept bit-identical as the
 // equivalence oracle (asserted by tests/mt_lazy_equivalence_test.cpp).
 #pragma once
 
 #include "auction/instance.hpp"
+#include "auction/multi_task/greedy.hpp"
 #include "auction/multi_task/view.hpp"
 #include "common/deadline.hpp"
 #include "obs/telemetry.hpp"
@@ -64,6 +76,13 @@ struct RewardOptions {
   /// parallel rewards each worker slot must get its own (the mechanism
   /// facade merges them in index order).
   obs::PhaseCounters* counters = nullptr;
+  /// The caller's own winner-determination run: on the same view, with no
+  /// overlay, recorded with GreedyOptions::record_residuals. When set, each
+  /// view probe resumes the without-i run at the step that picked the winner
+  /// instead of solving it cold; the critical bid is bit-identical either
+  /// way. Read-only, so concurrent reward workers share it. The copied-
+  /// instance oracle (masked_resolves = false) ignores it.
+  const GreedyResult* winner_determination = nullptr;
 };
 
 /// Critical contribution q̄_i of `winner` under the selected rule. For

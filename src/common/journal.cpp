@@ -3,8 +3,9 @@
 #include <charconv>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -28,6 +29,70 @@ bool parse_token(const std::string& token, T& value) {
   return ec == std::errc() && ptr == end;
 }
 
+/// Reads the meaningful lines of a text one at a time, so a caller holds
+/// only the lines it keeps. A copy resumes from the same place.
+class LineScanner {
+ public:
+  explicit LineScanner(std::string_view text) : text_(text) {}
+
+  /// Overwrites `line` with the next meaningful line; false at the end.
+  bool next(Line& line) {
+    while (pos_ < text_.size()) {
+      ++number_;
+      const auto newline = text_.find('\n', pos_);
+      const bool terminated = newline != std::string_view::npos;
+      const std::size_t end_offset = terminated ? newline + 1 : text_.size();
+      std::string_view raw = text_.substr(pos_, end_offset - pos_ - (terminated ? 1 : 0));
+      pos_ = end_offset;
+      if (!raw.empty() && raw.back() == '\r') {
+        raw.remove_suffix(1);
+      }
+      const auto first = raw.find_first_not_of(kSpace);
+      if (first == std::string_view::npos || raw[first] == '#') {
+        continue;  // blank or comment
+      }
+      const auto keyword_end = raw.find_first_of(kSpace, first);
+      const std::string_view keyword = raw.substr(first, keyword_end - first);
+      line.number = number_;
+      line.end_offset = end_offset;
+      line.terminated = terminated;
+      line.tokens.clear();
+      line.raw_text.clear();
+      if (keyword == "error" || keyword == "config") {
+        const auto value = raw.find_first_not_of(kSpace, keyword_end);
+        line.tokens.emplace_back(keyword);
+        if (value != std::string_view::npos) {
+          line.raw_text = raw.substr(value);
+        }
+      } else {
+        const std::string_view body = raw.substr(0, raw.find('#'));
+        for (auto start = body.find_first_not_of(kSpace); start != std::string_view::npos;) {
+          const auto stop = body.find_first_of(kSpace, start);
+          line.tokens.emplace_back(body.substr(start, stop - start));
+          start = body.find_first_not_of(kSpace, stop);
+        }
+      }
+      return true;
+    }
+    return false;
+  }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;     ///< offset of the next unread line
+  std::size_t number_ = 0;  ///< 1-based number of the last line read
+};
+
+/// Whether any line `scanner` has yet to read is an `end` line.
+bool any_end_line(LineScanner scanner) {
+  for (Line line; scanner.next(line);) {
+    if (line.keyword() == "end") {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::string flatten_newlines(std::string text) {
@@ -41,40 +106,8 @@ std::string flatten_newlines(std::string text) {
 
 std::vector<Line> scan_lines(std::string_view text) {
   std::vector<Line> lines;
-  std::size_t number = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    ++number;
-    const auto newline = text.find('\n', pos);
-    const bool terminated = newline != std::string_view::npos;
-    const std::size_t end_offset = terminated ? newline + 1 : text.size();
-    std::string_view raw = text.substr(pos, end_offset - pos - (terminated ? 1 : 0));
-    pos = end_offset;
-    if (!raw.empty() && raw.back() == '\r') {
-      raw.remove_suffix(1);
-    }
-    const auto first = raw.find_first_not_of(kSpace);
-    if (first == std::string_view::npos || raw[first] == '#') {
-      continue;  // blank or comment
-    }
-    const auto keyword_end = raw.find_first_of(kSpace, first);
-    const std::string_view keyword = raw.substr(first, keyword_end - first);
-    Line line;
-    line.number = number;
-    line.end_offset = end_offset;
-    line.terminated = terminated;
-    if (keyword == "error" || keyword == "config") {
-      const auto value = raw.find_first_not_of(kSpace, keyword_end);
-      line.tokens.emplace_back(keyword);
-      line.raw_text = value == std::string_view::npos ? "" : std::string(raw.substr(value));
-    } else {
-      const std::string_view body = raw.substr(0, raw.find('#'));
-      for (auto start = body.find_first_not_of(kSpace); start != std::string_view::npos;) {
-        const auto stop = body.find_first_of(kSpace, start);
-        line.tokens.emplace_back(body.substr(start, stop - start));
-        start = body.find_first_not_of(kSpace, stop);
-      }
-    }
+  LineScanner scanner(text);
+  for (Line line; scanner.next(line);) {
     lines.push_back(std::move(line));
   }
   return lines;
@@ -201,71 +234,70 @@ void BlockReader::fail(const Line& line, const std::string& message) const {
 }
 
 Frame parse(const Format& format, std::string_view text, const BlockDecoder& decode) {
-  const auto lines = scan_lines(text);
+  // One block's lines at a time: memory stays bounded by the largest block,
+  // whatever the journal's length.
+  LineScanner scanner(text);
   Frame frame;
-  if (lines.empty()) {
+  Line line;
+  if (!scanner.next(line)) {
     return frame;  // empty or comment-only: a writer died before its first byte
   }
-  const Line& head = lines.front();
-  if (head.tokens.size() != 1 || head.keyword() != format.header) {
+  if (line.tokens.size() != 1 || line.keyword() != format.header) {
     // A write torn inside the very first line leaves an unterminated strict
-    // prefix of the header: a torn tail to drop, not a foreign file.
-    if (lines.size() == 1 && !head.terminated && head.tokens.size() == 1 &&
-        format.header.starts_with(head.keyword())) {
+    // prefix of the header (the text's last line): a torn tail to drop, not
+    // a foreign file.
+    if (!line.terminated && line.tokens.size() == 1 &&
+        format.header.starts_with(line.keyword())) {
       return frame;
     }
-    fail(format, head.number, "missing " + std::string(format.header) + " header");
+    fail(format, line.number, "missing " + std::string(format.header) + " header");
   }
-  if (!head.terminated) {
+  if (!line.terminated) {
     return frame;
   }
-  frame.valid_bytes = head.end_offset;
-  std::size_t i = 1;
-  if (i < lines.size() && lines[i].keyword() == "config") {
-    if (!lines[i].terminated) {
+  frame.valid_bytes = line.end_offset;
+  bool more = scanner.next(line);
+  if (more && line.keyword() == "config") {
+    if (!line.terminated) {
       return frame;
     }
-    frame.config = lines[i].raw_text;
-    frame.valid_bytes = lines[i].end_offset;
-    ++i;
-  }
-  // The torn-tail rule asks whether any `end` line follows a block; only the
-  // block ending at the last one can be the tail.
-  std::size_t last_end = lines.size();
-  for (std::size_t k = lines.size(); k-- > i;) {
-    if (lines[k].keyword() == "end") {
-      last_end = k;
-      break;
-    }
+    frame.config = line.raw_text;
+    frame.valid_bytes = line.end_offset;
+    more = scanner.next(line);
   }
   std::map<std::string, std::uint64_t, std::less<>> next_id;  // per kind
-  while (i < lines.size()) {
-    std::size_t end = i;
-    while (end < lines.size() && lines[end].keyword() != "end") {
-      ++end;
+  std::vector<Line> block;  // the current block, its `end` line last
+  for (; more; more = scanner.next(line)) {
+    block.clear();
+    block.push_back(std::move(line));
+    while (block.back().keyword() != "end") {
+      if (!scanner.next(line)) {
+        return frame;  // no terminator was ever written: a torn append
+      }
+      block.push_back(std::move(line));
     }
-    if (end == lines.size() || !lines[end].terminated) {
-      break;  // no complete terminator was ever written: a torn append
+    const Line& end = block.back();
+    if (!end.terminated) {
+      break;  // the terminator itself is torn
     }
     std::string kind;
     std::uint64_t id = 0;
     try {
-      BlockReader block(format, lines, i, end);
-      decode(block);
-      kind = block.kind();
-      id = block.id();
+      BlockReader reader(format, block, 0, block.size() - 1);
+      decode(reader);
+      kind = reader.kind();
+      id = reader.id();
     } catch (const PreconditionError&) {
-      if (end == last_end) {
+      if (!any_end_line(scanner)) {
         break;  // the last block: a write torn mid-line, dropped with the tail
       }
       throw;  // corruption before the last complete block
     }
     if (format.sequential_ids && id != next_id[kind]++) {
-      fail(format, lines[end].number, "journal " + kind + "s are not contiguous from 0");
+      fail(format, end.number, "journal " + kind + "s are not contiguous from 0");
     }
-    frame.valid_bytes = lines[end].end_offset;
+    frame.valid_bytes = end.end_offset;
     ++frame.blocks;
-    i = end + 1;
   }
   return frame;
 }
@@ -279,9 +311,16 @@ std::string read(const Format& format, const std::filesystem::path& path) {
     throw std::runtime_error("cannot open " + std::string(format.name) +
                              " for reading: " + path.string());
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  // One allocation of the file's size: the text is the only whole-file copy.
+  std::error_code size_error;
+  const auto size = std::filesystem::file_size(path, size_error);
+  std::string text(size_error ? 0 : static_cast<std::size_t>(size), '\0');
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  if (in.bad()) {
+    throw std::runtime_error("cannot read " + std::string(format.name) + ": " + path.string());
+  }
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  return text;
 }
 
 Writer::Writer(const Format& format, const std::filesystem::path& path,

@@ -164,12 +164,13 @@ using BlockDecoder = std::function<void(BlockReader&)>;
 
 /// Frames `text` as a journal of `format` and hands every complete block,
 /// in file order, to `decode`, under the torn-tail rule in the header
-/// comment.
+/// comment. It scans one block's lines at a time, so beside `text` it holds
+/// only the block being decoded.
 Frame parse(const Format& format, std::string_view text, const BlockDecoder& decode);
 
-/// The text of the journal file at `path`; empty when there is no file (the
-/// journal has not started). Other I/O failures throw std::runtime_error
-/// naming the path.
+/// The text of the journal file at `path`, read into one string of the
+/// file's size; empty when there is no file (the journal has not started).
+/// Other I/O failures throw std::runtime_error naming the path.
 std::string read(const Format& format, const std::filesystem::path& path);
 
 /// Appends blocks to a journal file, starting a missing or empty file with

@@ -6,10 +6,15 @@
 // tie-heavy (quantized costs and PoS so many users share exact ratios) and
 // degenerate zero-contribution populations, are checked across every layer:
 // solve_greedy lazy vs reference, masked re-solves vs without_user /
-// with_declared_total_contribution copies, both critical-bid rules, and the
+// with_declared_total_contribution copies, without-i runs resumed from the
+// winner-determination run vs cold ones, both critical-bid rules, and the
 // end-to-end mechanism.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "auction/multi_task/greedy.hpp"
@@ -185,6 +190,118 @@ TEST_P(RewardEquivalence, MechanismOutcomeMatchesReferenceConfiguration) {
     test::expect_identical_outcome(run_mechanism(instance, lazy_config),
                                    run_mechanism(instance, reference_config));
   }
+}
+
+/// The bits of every double in `values`, so a comparison is bitwise.
+std::vector<std::uint64_t> bits_of(std::span<const double> values) {
+  std::vector<std::uint64_t> bits;
+  for (const double value : values) {
+    bits.push_back(std::bit_cast<std::uint64_t>(value));
+  }
+  return bits;
+}
+
+std::uint64_t bits_of(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Asserts that a without-i run resumed after `prefix` is the cold run: the
+/// same allocation, and the joined log — `prefix`, then the resumed run's
+/// steps — equal to the cold log step for step, residuals included, bitwise.
+/// A stalled run without keep_partial keeps no log on either side.
+void expect_resumed_matches_cold(std::span<const GreedyStep> prefix, const GreedyResult& resumed,
+                                 const GreedyResult& cold) {
+  ASSERT_EQ(resumed.allocation.feasible, cold.allocation.feasible);
+  EXPECT_EQ(resumed.allocation.winners, cold.allocation.winners);
+  EXPECT_EQ(bits_of(resumed.allocation.total_cost), bits_of(cold.allocation.total_cost));
+  EXPECT_EQ(resumed.uncovered_tasks, cold.uncovered_tasks);
+  EXPECT_EQ(resumed.timed_out, cold.timed_out);
+  if (cold.steps.empty() && !cold.allocation.feasible) {
+    EXPECT_TRUE(resumed.steps.empty());
+    return;
+  }
+  std::vector<const GreedyStep*> joined;
+  for (const auto& step : prefix) {
+    joined.push_back(&step);
+  }
+  for (const auto& step : resumed.steps) {
+    joined.push_back(&step);
+  }
+  ASSERT_EQ(joined.size(), cold.steps.size());
+  for (std::size_t s = 0; s < joined.size(); ++s) {
+    EXPECT_EQ(joined[s]->selected, cold.steps[s].selected) << "step " << s;
+    EXPECT_EQ(bits_of(joined[s]->effective_contribution),
+              bits_of(cold.steps[s].effective_contribution))
+        << "step " << s;
+    EXPECT_EQ(bits_of(joined[s]->ratio), bits_of(cold.steps[s].ratio)) << "step " << s;
+    EXPECT_EQ(bits_of(joined[s]->residual_before), bits_of(cold.steps[s].residual_before))
+        << "step " << s;
+  }
+}
+
+/// Checks every winner of `instance` under both pickers: her without-i run
+/// resumed from the winner-determination run at her step equals the cold
+/// without-i run (and, when she is pivotal, so does the stalled partial
+/// run), and both critical-bid rules give the same bits with and without the
+/// winner-determination run. Returns how many winners were pivotal.
+std::size_t expect_warm_starts_match_cold(const MultiTaskInstance& instance) {
+  const auto view = MultiTaskView::from_instance(instance);
+  std::size_t pivotal = 0;
+  for (const auto algorithm : {GreedyAlgorithm::kLazy, GreedyAlgorithm::kReferenceScan}) {
+    const GreedyOptions recorded{.algorithm = algorithm, .record_residuals = true};
+    const auto main = solve_greedy(view, ViewOverlay::none(), recorded);
+    if (!main.allocation.feasible) {
+      continue;
+    }
+    for (std::size_t k = 0; k < main.steps.size(); ++k) {
+      const UserId winner = main.steps[k].selected;
+      const bool first = k == 0;
+      const bool last = k + 1 == main.steps.size();
+      SCOPED_TRACE("winner " + std::to_string(winner) + " picked at step " + std::to_string(k) +
+                   (first ? " (first)" : "") + (last ? " (last)" : "") + ", " +
+                   (algorithm == GreedyAlgorithm::kLazy ? "lazy" : "reference"));
+      const std::span<const GreedyStep> prefix(main.steps.data(), k);
+      const auto without = ViewOverlay::without(winner);
+      const auto cold = solve_greedy(view, without, recorded);
+      expect_resumed_matches_cold(prefix, solve_greedy(view, without, recorded, prefix), cold);
+      if (!cold.allocation.feasible) {
+        ++pivotal;
+        GreedyOptions partial = recorded;
+        partial.keep_partial = true;
+        expect_resumed_matches_cold(prefix, solve_greedy(view, without, partial, prefix),
+                                    solve_greedy(view, without, partial));
+      }
+      for (const auto& rule_options : kMaskedLazy) {
+        RewardOptions cold_options = rule_options;
+        cold_options.algorithm = algorithm;
+        RewardOptions warm_options = cold_options;
+        warm_options.winner_determination = &main;
+        EXPECT_EQ(bits_of(critical_contribution(view, winner, warm_options)),
+                  bits_of(critical_contribution(view, winner, cold_options)));
+      }
+    }
+  }
+  return pivotal;
+}
+
+TEST_P(RewardEquivalence, ResumedWithoutRunsMatchColdSolves) {
+  for (const auto& instance : instances_for(GetParam())) {
+    expect_warm_starts_match_cold(instance);
+  }
+}
+
+TEST(WarmStart, FirstLastAndPivotalWinnersMatchColdSolves) {
+  // Two tasks. Users 0 and 3 tie on task 0 (user 0 is picked first); user 2
+  // alone serves task 1, so she is pivotal, picked second; user 1 is picked
+  // last over user 3 on the lowest-id tie-break.
+  MultiTaskInstance instance;
+  instance.requirement_pos = {0.5, 0.5};
+  instance.users = {{{0}, {0.4}, 1.0}, {{0}, {0.3}, 1.0}, {{1}, {0.6}, 2.0}, {{0}, {0.4}, 1.0}};
+  const auto main = solve_greedy(MultiTaskView::from_instance(instance), ViewOverlay::none());
+  ASSERT_TRUE(main.allocation.feasible);
+  ASSERT_EQ(main.steps.size(), 3u);
+  EXPECT_EQ(main.steps[0].selected, 0);
+  EXPECT_EQ(main.steps[1].selected, 2);
+  EXPECT_EQ(main.steps[2].selected, 1);
+  EXPECT_EQ(expect_warm_starts_match_cold(instance), 2u);  // user 2, under each picker
 }
 
 // 100 seeds × 3 instance families = 300 instances through the greedy-layer

@@ -177,6 +177,44 @@ TEST(PerfSmoke, QuickAdversarialSweepStaysCleanOnTheoremAxes) {
             << " elapsed_ms=" << elapsed.count() * 1e3 << "\n";
 }
 
+TEST(PerfSmoke, RewardProbesResumeFromTheWinnerDeterminationRun) {
+  // The warm-start gate: the mechanism resumes each winner's without-i run
+  // at the step that picked her, so its reward phase runs exactly her
+  // selection position fewer greedy rounds than a cold compute_reward call.
+  // The counts are deterministic, so the identity is exact; a refactor that
+  // stops handing the winner-determination run to the rewards fails here.
+  const obs::ScopedTelemetry telemetry(true);
+  std::size_t feasible = 0;
+  for (const auto rule : {CriticalBidRule::kBinarySearch, CriticalBidRule::kPaperIterationMin}) {
+    auction::MechanismConfig config;
+    config.multi_task.critical_bid_rule = rule;
+    for (const std::size_t n : {10, 20, 40}) {
+      for (const std::uint64_t seed : {1ull, 2ull}) {
+        const auto instance = bench_shapes::scaling_instance(n, /*tasks=*/6, seed, 0.6);
+        const auto outcome = run_mechanism(instance, config);
+        if (!outcome.allocation.feasible) {
+          continue;
+        }
+        ++feasible;
+        const auto view = MultiTaskView::from_instance(instance);
+        const auto selection = solve_greedy(view, ViewOverlay::none()).steps;
+        std::uint64_t positions = 0;
+        std::uint64_t cold_rounds = 0;
+        for (std::size_t k = 0; k < selection.size(); ++k) {
+          positions += k;
+          obs::PhaseCounters block;
+          const RewardOptions cold{.rule = rule, .counters = &block};
+          compute_reward(view, selection[k].selected, cold);
+          cold_rounds += block.rounds;
+        }
+        EXPECT_EQ(outcome.telemetry.rewards.rounds + positions, cold_rounds)
+            << "n=" << n << " seed=" << seed;
+      }
+    }
+  }
+  EXPECT_GT(feasible, 0u);
+}
+
 TEST(PerfSmoke, BothCriticalBidRulesSurviveTheSweep) {
   auction::MechanismConfig lazy;
   lazy.multi_task.critical_bid_rule = CriticalBidRule::kPaperIterationMin;
