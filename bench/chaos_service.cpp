@@ -11,7 +11,9 @@
 //      ones, and degraded merge converts the remaining poisoned rounds into
 //      partial coverage. Survival = rounds with a usable outcome (ok or
 //      degraded); coverage = mean covered-task fraction with failed rounds
-//      counting 0.
+//      counting 0. Each scenario runs twice, on a fresh service and a fresh
+//      injector with the same seed; the harness exits 1, naming the round,
+//      unless the second run replays the first bit for bit.
 //
 //   2. Watchdog — one injected stall far past the watchdog budget: the
 //      stalled round's recovery latency (detect + abandon + publish) is
@@ -87,8 +89,9 @@ Options parse_options(int argc, char** argv) {
 
 /// Residue-pure round mod `shards` (task j in cell j, every user's task set
 /// inside one residue class), so no user straddles shards and every shard
-/// owns tasks — the kShardRun hit counter maps 1:1 onto shard ids when
-/// nothing fails. Same workload shape as bench/service_load.
+/// owns tasks — a first attempt's kShardRun hit is its shard id (attempt a
+/// of shard s is hit a·shards + s). Same workload shape as
+/// bench/service_load.
 service::GeoRound make_round(std::size_t users, std::size_t tasks, std::size_t shards,
                              std::uint64_t seed) {
   service::GeoRound round;
@@ -136,8 +139,21 @@ double coverage_of(const service::RoundOutcome& outcome, std::size_t tasks) {
          static_cast<double>(tasks);
 }
 
+/// One settled round's observable result: what a same-seed rerun must
+/// reproduce bit for bit.
+struct RoundDigest {
+  auction::AuctionStatus status = auction::AuctionStatus::kOk;
+  std::string error;
+  std::size_t winners = 0;
+  std::vector<auction::TaskIndex> uncovered;
+  std::size_t shard_retries = 0;
+
+  bool operator==(const RoundDigest&) const = default;
+};
+
 struct ScenarioResult {
   std::string name;
+  std::vector<RoundDigest> digests;  ///< per round, in round order
   std::size_t rounds_ok = 0;
   std::size_t rounds_degraded = 0;
   std::size_t rounds_failed = 0;
@@ -186,6 +202,9 @@ ScenarioResult run_scenario(const std::string& name, const Options& options,
     }
     coverage_sum += coverage_of(outcome, options.tasks);
     latencies.push_back(outcome.latency_seconds);
+    result.digests.push_back(RoundDigest{outcome.status, outcome.error,
+                                         outcome.outcome.allocation.winners.size(),
+                                         outcome.outcome.uncovered_tasks, outcome.shard_retries});
   }
   result.shard_retries = static_cast<std::size_t>(campaign_service.stats().shard_retries);
   result.survival_rate =
@@ -198,6 +217,27 @@ ScenarioResult run_scenario(const std::string& name, const Options& options,
             << result.mean_coverage << ", retries " << result.shard_retries << ", p50 "
             << result.p50_latency_ms << " ms\n";
   return result;
+}
+
+/// Exits 1, naming the first differing round, unless `replay` (the same
+/// scenario rerun on a fresh service and a fresh same-seed injector)
+/// reproduces `first` bit for bit.
+void check_replay(const ScenarioResult& first, const ScenarioResult& replay) {
+  for (std::size_t r = 0; r < first.digests.size(); ++r) {
+    const RoundDigest& a = first.digests[r];
+    const RoundDigest& b = replay.digests[r];
+    if (!(a == b)) {
+      std::cerr << first.name << ": round " << r << " did not replay bit for bit (status "
+                << auction::to_string(a.status) << " vs " << auction::to_string(b.status)
+                << ", winners " << a.winners << " vs " << b.winners << ", uncovered "
+                << a.uncovered.size() << " vs " << b.uncovered.size() << ", shard_retries "
+                << a.shard_retries << " vs " << b.shard_retries << ", error '" << a.error
+                << "' vs '" << b.error << "')\n";
+      std::exit(1);
+    }
+  }
+  std::cerr << first.name << ": same-seed rerun replayed all " << first.digests.size()
+            << " rounds bit for bit\n";
 }
 
 struct WatchdogResult {
@@ -275,7 +315,8 @@ CellFailureResult run_cell_failures(const Options& options) {
     model.cells.push_back(static_cast<geo::CellId>(j));
   }
   // One event schedule for both policies: the drawn cell's owning shard dies
-  // on its (only) attempt that round — retries off, so hit == shard id.
+  // on its (only) attempt that round — a first attempt's hit is its shard
+  // id, and retries are off.
   common::Rng event_rng(options.seed + 2);
   common::FailPointSpec shard_faults;
   std::size_t events = 0;
@@ -342,13 +383,19 @@ int run(const Options& options) {
     rounds.push_back(make_round(options.users, options.tasks, options.shards, 1000 + r));
   }
 
+  struct Ladder {
+    const char* name;
+    service::MergePolicy policy;
+    std::size_t max_attempts;
+  };
   std::vector<ScenarioResult> scenarios;
-  scenarios.push_back(run_scenario("poison_no_retry", options, rounds,
-                                   service::MergePolicy::kPoisonRound, 1));
-  scenarios.push_back(run_scenario("poison_retry3", options, rounds,
-                                   service::MergePolicy::kPoisonRound, 3));
-  scenarios.push_back(run_scenario("degraded_retry3", options, rounds,
-                                   service::MergePolicy::kDegradedMerge, 3));
+  for (const Ladder& rung : {Ladder{"poison_no_retry", service::MergePolicy::kPoisonRound, 1},
+                             Ladder{"poison_retry3", service::MergePolicy::kPoisonRound, 3},
+                             Ladder{"degraded_retry3", service::MergePolicy::kDegradedMerge, 3}}) {
+    scenarios.push_back(run_scenario(rung.name, options, rounds, rung.policy, rung.max_attempts));
+    check_replay(scenarios.back(),
+                 run_scenario(rung.name, options, rounds, rung.policy, rung.max_attempts));
+  }
   const auto watchdog = run_watchdog(options, rounds);
   const auto cell_failures = run_cell_failures(options);
 
@@ -381,7 +428,8 @@ int run(const Options& options) {
        << ",\"survival_degraded\":" << cell_failures.survival_degraded
        << ",\"mean_coverage_poison\":" << cell_failures.mean_coverage_poison
        << ",\"mean_coverage_degraded\":" << cell_failures.mean_coverage_degraded << "}";
-  json << ",\"replay\":\"same seed => same per-round statuses, bit for bit\"}";
+  json << ",\"replay\":\"same seed => same per-round statuses, bit for bit (each scenario "
+          "rerun and checked)\"}";
 
   std::cout << json.str() << "\n";
   for (const std::string& path : {options.out, [] {

@@ -211,34 +211,42 @@ BENCHMARK(BM_IsolatedEngineFaultInjection)
     ->Args({8, 50})
     ->UseRealTime();
 
-/// Times engine.run over `reps` repetitions and returns the best
-/// auctions/sec (best-of to shed scheduler noise).
-double measure_auctions_per_sec(const auction::Engine& engine,
-                                const std::vector<auction::MultiTaskInstance>& batch,
-                                const auction::MechanismConfig& config, std::size_t reps) {
-  double best = 0.0;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(engine.run(batch, config));
-    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-    best = std::max(best, static_cast<double>(batch.size()) / elapsed.count());
-  }
-  return best;
-}
+/// Shortest sample best_elapsed_ms times: long enough that one timer read's
+/// jitter and a stray context switch stay a small share of the sample.
+constexpr double kMinSampleMs = 10.0;
 
-/// Best-of-`reps` wall time of `fn` in milliseconds (best-of to shed
-/// scheduler noise).
+/// Best-of-`reps` per-call wall time of `fn` in milliseconds. Each sample
+/// calls `fn` back to back until at least kMinSampleMs has passed and
+/// divides by the call count, so a sub-millisecond phase is not one timer
+/// read; best-of then sheds scheduler noise. A call longer than
+/// kMinSampleMs is one call per sample.
 template <typename Fn>
 double best_elapsed_ms(std::size_t reps, Fn&& fn) {
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    fn();
-    const std::chrono::duration<double, std::milli> elapsed =
-        std::chrono::steady_clock::now() - start;
-    best = std::min(best, elapsed.count());
+    std::size_t calls = 0;
+    double elapsed_ms = 0.0;
+    do {
+      fn();
+      ++calls;
+      elapsed_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                              start)
+                       .count();
+    } while (elapsed_ms < kMinSampleMs);
+    best = std::min(best, elapsed_ms / static_cast<double>(calls));
   }
   return best;
+}
+
+/// Best-of-`reps` auctions/sec of engine.run on `batch`, timed like
+/// best_elapsed_ms.
+double measure_auctions_per_sec(const auction::Engine& engine,
+                                const std::vector<auction::MultiTaskInstance>& batch,
+                                const auction::MechanismConfig& config, std::size_t reps) {
+  const double batch_ms = best_elapsed_ms(
+      reps, [&] { benchmark::DoNotOptimize(engine.run(batch, config)); });
+  return static_cast<double>(batch.size()) / (batch_ms / 1e3);
 }
 
 /// The multi-task scaling suite: lazy vs reference at n ∈ {50,100,200,400},
@@ -256,7 +264,7 @@ std::string build_multi_task_scaling_record() {
 
   std::ostringstream json;
   json << "{\"bench\":\"multi_task_scaling\",\"tasks\":" << kTasks << ",\"reps\":" << kReps
-       << ",\"seed\":" << kSeed
+       << ",\"min_sample_ms\":" << kMinSampleMs << ",\"seed\":" << kSeed
        << ",\"available_cores\":" << std::max(1u, std::thread::hardware_concurrency())
        << ",\"critical_bid_rule\":\"binary_search\",\"results\":[";
   const std::size_t sizes[] = {50, 100, 200, 400};
@@ -446,6 +454,7 @@ std::string build_batched_throughput_record() {
   std::ostringstream json;
   json << "{\"bench\":\"batched_engine_throughput\",\"auctions\":" << kAuctions
        << ",\"users_per_auction\":" << kUsers << ",\"tasks_per_auction\":" << kTasks
+       << ",\"reps\":" << kReps << ",\"min_sample_ms\":" << kMinSampleMs
        << ",\"available_cores\":" << cores << ",\"results\":[";
   double workers1 = 0.0;
   double workers_max = 0.0;

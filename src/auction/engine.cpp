@@ -1,6 +1,8 @@
 #include "auction/engine.hpp"
 
+#include <array>
 #include <exception>
+#include <utility>
 
 #include "auction/multi_task/mechanism.hpp"
 #include "auction/single_task/mechanism.hpp"
@@ -17,19 +19,16 @@ namespace {
 struct EngineMetrics {
   obs::Registry::MetricId batches;
   obs::Registry::MetricId auctions;
-  obs::Registry::MetricId slots_ok;
-  obs::Registry::MetricId slots_degraded;
-  obs::Registry::MetricId slots_timed_out;
-  obs::Registry::MetricId slots_failed;
+  std::array<obs::Registry::MetricId, 4> slots;  ///< indexed by AuctionStatus
 
   static const EngineMetrics& get() {
     static const EngineMetrics metrics{
         obs::Registry::global().metric("engine.batches"),
         obs::Registry::global().metric("engine.auctions"),
-        obs::Registry::global().metric("engine.slots_ok"),
-        obs::Registry::global().metric("engine.slots_degraded"),
-        obs::Registry::global().metric("engine.slots_timed_out"),
-        obs::Registry::global().metric("engine.slots_failed"),
+        {obs::Registry::global().metric("engine.slots_ok"),
+         obs::Registry::global().metric("engine.slots_degraded"),
+         obs::Registry::global().metric("engine.slots_timed_out"),
+         obs::Registry::global().metric("engine.slots_failed")},
     };
     return metrics;
   }
@@ -45,23 +44,8 @@ void record_batch(std::size_t size) {
 }
 
 void record_status(AuctionStatus status) {
-  if (!obs::enabled()) {
-    return;
-  }
-  const EngineMetrics& metrics = EngineMetrics::get();
-  switch (status) {
-    case AuctionStatus::kOk:
-      obs::Registry::global().add(metrics.slots_ok, 1);
-      break;
-    case AuctionStatus::kDegraded:
-      obs::Registry::global().add(metrics.slots_degraded, 1);
-      break;
-    case AuctionStatus::kTimedOut:
-      obs::Registry::global().add(metrics.slots_timed_out, 1);
-      break;
-    case AuctionStatus::kFailed:
-      obs::Registry::global().add(metrics.slots_failed, 1);
-      break;
+  if (obs::enabled()) {
+    obs::Registry::global().add(EngineMetrics::get().slots[static_cast<std::size_t>(status)], 1);
   }
 }
 
@@ -99,11 +83,6 @@ AuctionOutcome isolate(const Run& run) {
   return slot;
 }
 
-template <typename Item>
-AuctionOutcome dispatch_isolated(const Item& instance, const MechanismConfig& config) {
-  return isolate([&] { return dispatch(instance, config); });
-}
-
 }  // namespace
 
 const char* to_string(AuctionStatus status) {
@@ -138,16 +117,17 @@ MechanismConfig Engine::effective_config(const MechanismConfig& config) const {
   return adjusted;
 }
 
-template <typename Item>
-std::vector<MechanismOutcome> Engine::run_batch(const std::vector<Item>& batch,
-                                                const MechanismConfig& config) const {
+template <EngineInstance Instance>
+std::vector<MechanismOutcome> Engine::run(const std::vector<Instance>& batch,
+                                          const MechanismConfig& config) const {
   const MechanismConfig adjusted = effective_config(config);
   record_batch(batch.size());
   std::vector<MechanismOutcome> outcomes(batch.size());
   // Inter-auction parallelism: one strided chunk per worker. Inside a pool
   // worker any nested parallel_map degrades to serial, so each auction runs
   // the exact serial code path; a lone auction runs inline on the calling
-  // thread, where the critical-bid parallel_map still fans out.
+  // thread, where the critical-bid parallel_map still fans out. Unlike the
+  // isolated entries, this keeps for_each_index's rethrow-by-index.
   pool().for_each_index(
       batch.size(),
       [&](std::size_t index) { outcomes[index] = dispatch(batch[index], adjusted); },
@@ -155,24 +135,9 @@ std::vector<MechanismOutcome> Engine::run_batch(const std::vector<Item>& batch,
   return outcomes;
 }
 
-std::vector<MechanismOutcome> Engine::run(const std::vector<AuctionInstance>& batch,
-                                          const MechanismConfig& config) const {
-  return run_batch(batch, config);
-}
-
-std::vector<MechanismOutcome> Engine::run(const std::vector<SingleTaskInstance>& batch,
-                                          const MechanismConfig& config) const {
-  return run_batch(batch, config);
-}
-
-std::vector<MechanismOutcome> Engine::run(const std::vector<MultiTaskInstance>& batch,
-                                          const MechanismConfig& config) const {
-  return run_batch(batch, config);
-}
-
-template <typename Item>
-std::vector<AuctionOutcome> Engine::run_batch_isolated(const std::vector<Item>& batch,
-                                                       const MechanismConfig& config) const {
+template <EngineInstance Instance>
+std::vector<AuctionOutcome> Engine::run_isolated(const std::vector<Instance>& batch,
+                                                 const MechanismConfig& config) const {
   return run_isolated(
       batch.size(),
       [&](std::size_t index, const MechanismConfig& adjusted) {
@@ -186,9 +151,9 @@ std::vector<AuctionOutcome> Engine::run_isolated(std::size_t count, const SlotRu
   const MechanismConfig adjusted = effective_config(config);
   record_batch(count);
   std::vector<AuctionOutcome> slots(count);
-  // Same scheduling as run_batch; isolate swallows per-slot exceptions
-  // before they can reach for_each_index's rethrow machinery, so sibling
-  // auctions always complete.
+  // Same scheduling as run; isolate swallows per-slot exceptions before they
+  // can reach for_each_index's rethrow machinery, so sibling auctions always
+  // complete.
   pool().for_each_index(
       count,
       [&](std::size_t index) {
@@ -198,55 +163,32 @@ std::vector<AuctionOutcome> Engine::run_isolated(std::size_t count, const SlotRu
   return slots;
 }
 
-std::vector<AuctionOutcome> Engine::run_isolated(const std::vector<AuctionInstance>& batch,
-                                                 const MechanismConfig& config) const {
-  return run_batch_isolated(batch, config);
-}
-
-std::vector<AuctionOutcome> Engine::run_isolated(const std::vector<SingleTaskInstance>& batch,
-                                                 const MechanismConfig& config) const {
-  return run_batch_isolated(batch, config);
-}
-
-std::vector<AuctionOutcome> Engine::run_isolated(const std::vector<MultiTaskInstance>& batch,
-                                                 const MechanismConfig& config) const {
-  return run_batch_isolated(batch, config);
-}
-
-MechanismOutcome Engine::run_one(const SingleTaskInstance& instance,
-                                 const MechanismConfig& config) const {
+template <EngineInstance Instance>
+MechanismOutcome Engine::run_one(const Instance& instance, const MechanismConfig& config) const {
   record_batch(1);
   return dispatch(instance, effective_config(config));
 }
 
-MechanismOutcome Engine::run_one(const MultiTaskInstance& instance,
-                                 const MechanismConfig& config) const {
-  record_batch(1);
-  return dispatch(instance, effective_config(config));
-}
-
-MechanismOutcome Engine::run_one(const AuctionInstance& instance,
-                                 const MechanismConfig& config) const {
-  record_batch(1);
-  return dispatch(instance, effective_config(config));
-}
-
-AuctionOutcome Engine::run_one_isolated(const SingleTaskInstance& instance,
+template <EngineInstance Instance>
+AuctionOutcome Engine::run_one_isolated(const Instance& instance,
                                         const MechanismConfig& config) const {
-  record_batch(1);
-  return dispatch_isolated(instance, effective_config(config));
+  auto slots = run_isolated(
+      1, [&](std::size_t, const MechanismConfig& adjusted) { return dispatch(instance, adjusted); },
+      config);
+  return std::move(slots.front());
 }
 
-AuctionOutcome Engine::run_one_isolated(const MultiTaskInstance& instance,
-                                        const MechanismConfig& config) const {
-  record_batch(1);
-  return dispatch_isolated(instance, effective_config(config));
-}
-
-AuctionOutcome Engine::run_one_isolated(const AuctionInstance& instance,
-                                        const MechanismConfig& config) const {
-  record_batch(1);
-  return dispatch_isolated(instance, effective_config(config));
-}
+// The batch and single-auction entries, instantiated for each EngineInstance.
+#define MCS_ENGINE_ENTRIES(Instance)                                                               \
+  template std::vector<MechanismOutcome> Engine::run(const std::vector<Instance>&,                 \
+                                                     const MechanismConfig&) const;                \
+  template std::vector<AuctionOutcome> Engine::run_isolated(const std::vector<Instance>&,          \
+                                                            const MechanismConfig&) const;         \
+  template MechanismOutcome Engine::run_one(const Instance&, const MechanismConfig&) const;        \
+  template AuctionOutcome Engine::run_one_isolated(const Instance&, const MechanismConfig&) const
+MCS_ENGINE_ENTRIES(SingleTaskInstance);
+MCS_ENGINE_ENTRIES(MultiTaskInstance);
+MCS_ENGINE_ENTRIES(AuctionInstance);
+#undef MCS_ENGINE_ENTRIES
 
 }  // namespace mcs::auction

@@ -6,18 +6,31 @@
 // calling thread where the per-winner critical-bid parallelism inside
 // run_mechanism still fans out.
 //
+// Five entry points:
+//
+//   run(batch)                       strict batch, first exception rethrown
+//   run_isolated(batch)              fault-isolated batch
+//   run_isolated(count, SlotRunner)  fault-isolated slots that build their input
+//   run_one(instance)                strict single auction
+//   run_one_isolated(instance)       fault-isolated single auction
+//
+// The batch and single-auction entries take any EngineInstance. Every
+// isolated entry is a run_isolated(count, SlotRunner) call, so all of them
+// share one scheduling, capture and slot-metrics path.
+//
 // Determinism contract: outcomes come back in submission order and are
 // bit-identical to calling the per-family run_mechanism serially on each
 // instance, whatever the worker count — both parallelism levels only ever
 // partition independent, index-addressed work.
 //
 // Fault isolation: run() keeps the strict contract (first exception by index
-// rethrown after the batch completes), while run_isolated() never throws for
-// a per-auction failure — each slot instead carries a structured
+// rethrown after the batch completes), while the isolated entries never
+// throw for a per-auction failure — each slot instead carries a structured
 // AuctionStatus plus the error text, so one malformed instance or blown
 // deadline cannot take down its siblings' results.
 #pragma once
 
+#include <concepts>
 #include <functional>
 #include <memory>
 #include <string>
@@ -31,6 +44,12 @@ namespace mcs::auction {
 
 /// One auction of either family, as submitted to the engine.
 using AuctionInstance = std::variant<SingleTaskInstance, MultiTaskInstance>;
+
+/// The instance types the batch and single-auction entries accept.
+template <typename Instance>
+concept EngineInstance = std::same_as<Instance, SingleTaskInstance> ||
+                         std::same_as<Instance, MultiTaskInstance> ||
+                         std::same_as<Instance, AuctionInstance>;
 
 /// How one isolated auction slot ended.
 enum class AuctionStatus {
@@ -76,11 +95,8 @@ class Engine {
   /// Runs a batch under one shared config; outcomes align with the batch.
   /// The first exception (by batch index), e.g. a PreconditionError from an
   /// invalid instance or config, is rethrown after the batch completes.
-  std::vector<MechanismOutcome> run(const std::vector<AuctionInstance>& batch,
-                                    const MechanismConfig& config = {}) const;
-  std::vector<MechanismOutcome> run(const std::vector<SingleTaskInstance>& batch,
-                                    const MechanismConfig& config = {}) const;
-  std::vector<MechanismOutcome> run(const std::vector<MultiTaskInstance>& batch,
+  template <EngineInstance Instance>
+  std::vector<MechanismOutcome> run(const std::vector<Instance>& batch,
                                     const MechanismConfig& config = {}) const;
 
   /// Fault-isolated batch: never throws for a per-auction failure. Healthy
@@ -88,46 +104,31 @@ class Engine {
   /// deadline-exceeding auction only poisons its own slot, which carries the
   /// structured status and error text instead. (Batch-level errors — e.g.
   /// allocation failure of the outcome vector itself — still throw.)
-  std::vector<AuctionOutcome> run_isolated(const std::vector<AuctionInstance>& batch,
+  template <EngineInstance Instance>
+  std::vector<AuctionOutcome> run_isolated(const std::vector<Instance>& batch,
                                            const MechanismConfig& config = {}) const;
-  std::vector<AuctionOutcome> run_isolated(const std::vector<SingleTaskInstance>& batch,
-                                           const MechanismConfig& config = {}) const;
-  std::vector<AuctionOutcome> run_isolated(const std::vector<MultiTaskInstance>& batch,
-                                           const MechanismConfig& config = {}) const;
+
   /// Fault-isolated batch of `count` slots that each build their own input:
   /// slot k calls run_slot(k, config) on a pool worker — e.g. to fill one
   /// shard's view straight from a shared round and run the mechanism on it —
   /// so input preparation runs in parallel too, and a slot whose build
-  /// throws fails alone. Same scheduling, capture rules and slot metrics as
-  /// the batch overloads; run_slot must be safe to call concurrently.
+  /// throws fails alone. A lone slot runs inline on the calling thread,
+  /// where the critical-bid computations still fan out over the pool.
+  /// run_slot must be safe to call concurrently.
   std::vector<AuctionOutcome> run_isolated(std::size_t count, const SlotRunner& run_slot,
                                            const MechanismConfig& config = {}) const;
 
   /// Single-auction convenience: runs on the calling thread with the
   /// engine's worker budget applied to the critical-bid computations.
-  MechanismOutcome run_one(const SingleTaskInstance& instance,
-                           const MechanismConfig& config = {}) const;
-  MechanismOutcome run_one(const MultiTaskInstance& instance,
-                           const MechanismConfig& config = {}) const;
-  MechanismOutcome run_one(const AuctionInstance& instance,
-                           const MechanismConfig& config = {}) const;
+  template <EngineInstance Instance>
+  MechanismOutcome run_one(const Instance& instance, const MechanismConfig& config = {}) const;
 
-  /// Isolated single-auction convenience, same capture rules as
-  /// run_isolated.
-  AuctionOutcome run_one_isolated(const SingleTaskInstance& instance,
-                                  const MechanismConfig& config = {}) const;
-  AuctionOutcome run_one_isolated(const MultiTaskInstance& instance,
-                                  const MechanismConfig& config = {}) const;
-  AuctionOutcome run_one_isolated(const AuctionInstance& instance,
+  /// Isolated single-auction convenience: a one-slot run_isolated.
+  template <EngineInstance Instance>
+  AuctionOutcome run_one_isolated(const Instance& instance,
                                   const MechanismConfig& config = {}) const;
 
  private:
-  template <typename Item>
-  std::vector<MechanismOutcome> run_batch(const std::vector<Item>& batch,
-                                          const MechanismConfig& config) const;
-  template <typename Item>
-  std::vector<AuctionOutcome> run_batch_isolated(const std::vector<Item>& batch,
-                                                 const MechanismConfig& config) const;
   common::ThreadPool& pool() const;
   /// A dedicated pool's size becomes the default critical-bid budget, so an
   /// Engine{workers = w} never uses more than w threads at either level.

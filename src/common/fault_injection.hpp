@@ -8,10 +8,14 @@
 //
 //     (seed, fail point, stream, hit index)
 //
-// where the stream is the service's round id and the hit index counts that
-// fail point's evaluations within the round. Nothing depends on wall clock,
-// thread interleaving, or global mutable counters, so a fault schedule found
-// in CI reproduces bit-for-bit from its seed — even when a watchdog-abandoned
+// where the stream is the service's round id and the hit index is the
+// evaluation's coordinate within the round, fixed by what is evaluated, not
+// by when: attempt a of shard slot s in a round of S slots is kShardRun hit
+// a·S + s (S = 1 for a single-shard or zero-task round), so a first
+// attempt's hit is its slice index whichever sibling fails first. Nothing
+// depends on wall clock, thread interleaving, or global mutable counters, so
+// a fault schedule found in CI reproduces bit-for-bit from its seed — with
+// shard attempts running in parallel, and even when a watchdog-abandoned
 // round keeps evaluating fail points concurrently with the next round.
 //
 // Cost model: a service without an injector pays one null-pointer test per
@@ -43,7 +47,7 @@ class InjectedFault : public std::runtime_error {
 /// journal's append and replay, a telemetry sink dispatch, and the
 /// queue→dispatcher handoff.
 enum class FailPoint : std::size_t {
-  kShardRun = 0,     ///< one hit per shard attempt (first pass and retries)
+  kShardRun = 0,     ///< one hit per shard attempt: attempt a of slot s is a·S + s
   kJournalAppend,    ///< one hit per round-outcome append
   kJournalReplay,    ///< one hit per journal-served round
   kSinkDispatch,     ///< one hit per (round, registered sink) delivery

@@ -131,23 +131,27 @@ Registry::MetricId Registry::metric(const std::string& name) {
 
 Registry::Shard& Registry::local_shard() {
   // Cache of (registry id → shard) for this thread. A plain vector scan: a
-  // thread talks to one or two registries in practice (the global one, plus
-  // possibly a test-local one).
+  // thread talks to a few live registries at a time (the global one plus
+  // those of the campaign services it drives). A miss first drops the
+  // entries of registries destroyed since, so a thread that outlives many
+  // services does not scan one dead entry per service on every add.
   struct TlsEntry {
     std::uint64_t registry_id;
     Shard* shard;
+    std::weak_ptr<const bool> alive;
   };
   thread_local std::vector<TlsEntry> tls_shards;
   for (const TlsEntry& entry : tls_shards) {
     if (entry.registry_id == id_) return *entry.shard;
   }
+  std::erase_if(tls_shards, [](const TlsEntry& entry) { return entry.alive.expired(); });
   auto owned = std::make_unique<Shard>();
   Shard* shard = owned.get();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     shards_.push_back(std::move(owned));
   }
-  tls_shards.push_back({id_, shard});
+  tls_shards.push_back({id_, shard, alive_});
   return *shard;
 }
 

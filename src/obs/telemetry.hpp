@@ -190,6 +190,9 @@ class Registry {
   Shard& local_shard();
 
   const std::uint64_t id_;  ///< process-unique, never reused (tls keys on it)
+  /// Expires with the registry, so a thread drops its cached shard of a
+  /// destroyed registry at its next cache miss (see local_shard).
+  const std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
   mutable std::mutex mutex_;
   std::vector<std::string> names_;
   std::vector<std::unique_ptr<Shard>> shards_;

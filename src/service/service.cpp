@@ -1,8 +1,9 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
-#include <cmath>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -15,46 +16,25 @@ namespace {
 
 using common::journal::format_double;
 
-/// Registry ids of the service's process-wide metrics, resolved once.
-struct ServiceMetrics {
-  obs::Registry::MetricId submitted;
-  obs::Registry::MetricId completed;
-  obs::Registry::MetricId replayed;
-  obs::Registry::MetricId queue_depth;
-  obs::Registry::MetricId shard_retries;
-  obs::Registry::MetricId rounds_degraded;
-  obs::Registry::MetricId sinks_quarantined;
-  obs::Registry::MetricId watchdog_fires;
-  obs::Registry::MetricId arrivals;
-  obs::Registry::MetricId epochs_completed;
-  obs::Registry::MetricId online_accepts;
-  obs::Registry::MetricId online_threshold_updates;
-  obs::Registry::MetricId online_budget_remaining;
-
-  static const ServiceMetrics& get() {
-    static const ServiceMetrics metrics{
-        obs::Registry::global().metric("service.rounds_submitted"),
-        obs::Registry::global().metric("service.rounds_completed"),
-        obs::Registry::global().metric("service.rounds_replayed"),
-        obs::Registry::global().metric("service.queue_depth"),
-        obs::Registry::global().metric("service.shard_retries"),
-        obs::Registry::global().metric("service.rounds_degraded"),
-        obs::Registry::global().metric("service.sinks_quarantined"),
-        obs::Registry::global().metric("service.watchdog_fires"),
-        obs::Registry::global().metric("service.arrivals_submitted"),
-        obs::Registry::global().metric("service.epochs_completed"),
-        obs::Registry::global().metric("service.online_accepts"),
-        obs::Registry::global().metric("service.online_threshold_updates"),
-        obs::Registry::global().metric("service.online_budget_remaining_milli"),
-    };
-    return metrics;
-  }
+/// The service's metrics, one per event, numbered in registration order (a
+/// fresh registry gives metric k the id k). The first fifteen are
+/// ServiceStats' fields in declaration order; the rest have no stats field.
+enum Metric : obs::Registry::MetricId {
+  kRoundsSubmitted, kRoundsCompleted, kRoundsReplayed, kRoundsFailed, kRoundsDegraded,
+  kShardRetries, kWatchdogFires, kSinkFailures, kSinksQuarantined, kJournalAppendFailures,
+  kArrivalsSubmitted, kEpochsFlushed, kEpochsCompleted, kEpochsReplayed, kEpochsFailed,
+  kQueueDepth, kOnlineAccepts, kOnlineThresholdUpdates, kOnlineBudgetRemainingMilli,
+  kMetricCount,
 };
 
-bool slot_dead(const auction::AuctionOutcome& slot) {
-  return slot.status == auction::AuctionStatus::kFailed ||
-         slot.status == auction::AuctionStatus::kTimedOut;
-}
+constexpr std::array<const char*, kMetricCount> kMetricNames = {
+    "service.rounds_submitted", "service.rounds_completed", "service.rounds_replayed",
+    "service.rounds_failed", "service.rounds_degraded", "service.shard_retries",
+    "service.watchdog_fires", "service.sink_failures", "service.sinks_quarantined",
+    "service.journal_append_failures", "service.arrivals_submitted", "service.epochs_flushed",
+    "service.epochs_completed", "service.epochs_replayed", "service.epochs_failed",
+    "service.queue_depth", "service.online_accepts", "service.online_threshold_updates",
+    "service.online_budget_remaining_milli"};
 
 }  // namespace
 
@@ -138,6 +118,9 @@ CampaignService::CampaignService(const ServiceConfig& config)
               "CriticalBidRule::kPaperIterationMin is not shard-decomposable (its minimum "
               "ranges over the GLOBAL without-i iteration sequence); use kBinarySearch or a "
               "single shard");
+  for (const char* name : kMetricNames) {
+    metrics_.metric(name);
+  }
   if (!config_.journal_path.empty()) {
     auto replayed = load_service_journal(config_.journal_path);
     journal_.emplace(common::journal::resume(kServiceJournalFormat, config_.journal_path, replayed,
@@ -167,17 +150,7 @@ CampaignService::~CampaignService() {
 RoundId CampaignService::submit_round(GeoRound round) {
   std::unique_lock<std::mutex> lock(mutex_);
   queue_space_.wait(lock, [this] { return queue_.size() < config_.queue_capacity; });
-  const RoundId id = next_round_++;
-  Request request;
-  request.round = id;
-  request.payload = std::move(round);
-  queue_.push_back(std::move(request));
-  ++stats_.submitted;
-  obs::Registry::global().add(ServiceMetrics::get().submitted, 1);
-  obs::Registry::global().add(ServiceMetrics::get().queue_depth, 1);
-  lock.unlock();
-  queue_ready_.notify_one();
-  return id;
+  return enqueue(lock, Request(std::move(round)));
 }
 
 std::optional<RoundId> CampaignService::try_submit_round(GeoRound round) {
@@ -185,61 +158,72 @@ std::optional<RoundId> CampaignService::try_submit_round(GeoRound round) {
   if (queue_.size() >= config_.queue_capacity) {
     return std::nullopt;
   }
-  const RoundId id = next_round_++;
-  Request request;
-  request.round = id;
-  request.payload = std::move(round);
+  return enqueue(lock, Request(std::move(round)));
+}
+
+std::uint64_t CampaignService::enqueue(std::unique_lock<std::mutex>& lock, Request request) {
+  const std::uint64_t id = (request.is_epoch ? epochs_.next : rounds_.next)++;
+  request.id = id;
+  metrics_.add(request.is_epoch ? kEpochsFlushed : kRoundsSubmitted, 1);
+  metrics_.add(kQueueDepth, 1);
   queue_.push_back(std::move(request));
-  ++stats_.submitted;
-  obs::Registry::global().add(ServiceMetrics::get().submitted, 1);
-  obs::Registry::global().add(ServiceMetrics::get().queue_depth, 1);
   lock.unlock();
   queue_ready_.notify_one();
   return id;
 }
 
-std::optional<RoundOutcome> CampaignService::poll_outcome(RoundId round) {
-  std::lock_guard<std::mutex> lock(mutex_);
+template <typename Outcome>
+std::optional<Outcome> CampaignService::take(Sequence<Outcome>& sequence, std::uint64_t id,
+                                             const char* caller, bool block) {
+  std::unique_lock<std::mutex> lock(mutex_);
   // Fail fast on ids this service can never deliver — waiting on one would
   // otherwise block forever (poll would spin forever), so the id checks are
   // part of the exactly-once contract, not just hygiene. The message names
-  // the id and the valid range so the caller's bug is diagnosable.
-  MCS_EXPECTS(round < next_round_,
-              "poll_outcome: round " + std::to_string(round) +
-                  " was never submitted (next round id is " + std::to_string(next_round_) + ")");
-  const auto it = completed_.find(round);
-  if (it != completed_.end()) {
-    RoundOutcome outcome = std::move(it->second);
-    completed_.erase(it);
-    return outcome;
+  // the id and the valid range so the caller's bug is diagnosable. The
+  // never-submitted check runs BEFORE any wait for the same reason.
+  const auto subject = [&] {
+    return std::string(caller) + ": " + sequence.noun + " " + std::to_string(id);
+  };
+  MCS_EXPECTS(id < sequence.next, subject() + " was never " + sequence.verb + " (next " +
+                                      sequence.noun + " id is " +
+                                      std::to_string(sequence.next) + ")");
+  if (block) {
+    done_.wait(lock, [&] { return id < sequence.next_completed; });
   }
-  MCS_EXPECTS(round >= next_completed_,
-              "poll_outcome: round " + std::to_string(round) +
-                  "'s outcome was already delivered (outcomes deliver exactly once)");
-  return std::nullopt;
+  const auto it = sequence.undelivered.find(id);
+  if (it == sequence.undelivered.end()) {
+    MCS_EXPECTS(id >= sequence.next_completed,
+                subject() + "'s outcome was already delivered (outcomes deliver exactly once)");
+    return std::nullopt;
+  }
+  Outcome outcome = std::move(it->second);
+  sequence.undelivered.erase(it);
+  return outcome;
+}
+
+template <typename Outcome>
+void CampaignService::complete(Sequence<Outcome>& sequence, std::uint64_t id, Outcome outcome) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    MCS_ENSURES(id == sequence.next_completed, "outcomes must complete in id order");
+    sequence.undelivered.emplace(id, std::move(outcome));
+    ++sequence.next_completed;
+  }
+  done_.notify_all();
+}
+
+std::optional<RoundOutcome> CampaignService::poll_outcome(RoundId round) {
+  return take(rounds_, round, "poll_outcome", false);
 }
 
 RoundOutcome CampaignService::wait_outcome(RoundId round) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Checked BEFORE the wait: an id that was never submitted has no round to
-  // complete, so waiting on it would block forever.
-  MCS_EXPECTS(round < next_round_,
-              "wait_outcome: round " + std::to_string(round) +
-                  " was never submitted (next round id is " + std::to_string(next_round_) + ")");
-  round_done_.wait(lock, [this, round] { return round < next_completed_; });
-  const auto it = completed_.find(round);
-  MCS_EXPECTS(it != completed_.end(),
-              "wait_outcome: round " + std::to_string(round) +
-                  "'s outcome was already delivered (outcomes deliver exactly once)");
-  RoundOutcome outcome = std::move(it->second);
-  completed_.erase(it);
-  return outcome;
+  return *take(rounds_, round, "wait_outcome", true);
 }
 
 void CampaignService::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  round_done_.wait(lock, [this] {
-    return next_completed_ == next_round_ && next_epoch_completed_ == next_epoch_;
+  done_.wait(lock, [this] {
+    return rounds_.next_completed == rounds_.next && epochs_.next_completed == epochs_.next;
   });
 }
 
@@ -250,11 +234,10 @@ ArrivalTicket CampaignService::submit_arrival(auction::SingleTaskBid bid) {
   // ingestion edge so a bad arrival cannot poison its whole epoch.
   MCS_EXPECTS(bid.cost > 0.0, "submit_arrival: arrival cost must be positive");
   MCS_EXPECTS(bid.pos >= 0.0 && bid.pos <= 1.0, "submit_arrival: arrival PoS must be in [0, 1]");
-  const ArrivalTicket ticket{next_epoch_, open_epoch_.size()};
+  const ArrivalTicket ticket{epochs_.next, open_epoch_.size()};
   open_epoch_.push_back(
       auction::online::Arrival{static_cast<auction::UserId>(open_epoch_.size()), bid});
-  ++stats_.arrivals_submitted;
-  obs::Registry::global().add(ServiceMetrics::get().arrivals, 1);
+  metrics_.add(kArrivalsSubmitted, 1);
   if (open_epoch_.size() >= config_.online.max_epoch_arrivals) {
     flush_epoch_locked(lock);  // bounded memory under a firehose
   }
@@ -275,50 +258,15 @@ std::optional<EpochId> CampaignService::flush_epoch_locked(std::unique_lock<std:
   if (open_epoch_.empty()) {
     return std::nullopt;  // a concurrent flush sealed it while we waited
   }
-  Request request;
-  request.is_epoch = true;
-  request.epoch = next_epoch_++;
-  request.arrivals = std::move(open_epoch_);
-  open_epoch_.clear();
-  const EpochId id = request.epoch;
-  queue_.push_back(std::move(request));
-  ++stats_.epochs_flushed;
-  obs::Registry::global().add(ServiceMetrics::get().queue_depth, 1);
-  lock.unlock();
-  queue_ready_.notify_one();
-  return id;
+  return enqueue(lock, Request(std::exchange(open_epoch_, {})));
 }
 
 std::optional<EpochOutcome> CampaignService::poll_epoch(EpochId epoch) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  MCS_EXPECTS(epoch < next_epoch_,
-              "poll_epoch: epoch " + std::to_string(epoch) +
-                  " was never flushed (next epoch id is " + std::to_string(next_epoch_) + ")");
-  const auto it = completed_epochs_.find(epoch);
-  if (it != completed_epochs_.end()) {
-    EpochOutcome outcome = std::move(it->second);
-    completed_epochs_.erase(it);
-    return outcome;
-  }
-  MCS_EXPECTS(epoch >= next_epoch_completed_,
-              "poll_epoch: epoch " + std::to_string(epoch) +
-                  "'s outcome was already delivered (outcomes deliver exactly once)");
-  return std::nullopt;
+  return take(epochs_, epoch, "poll_epoch", false);
 }
 
 EpochOutcome CampaignService::wait_epoch(EpochId epoch) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  MCS_EXPECTS(epoch < next_epoch_,
-              "wait_epoch: epoch " + std::to_string(epoch) +
-                  " was never flushed (next epoch id is " + std::to_string(next_epoch_) + ")");
-  round_done_.wait(lock, [this, epoch] { return epoch < next_epoch_completed_; });
-  const auto it = completed_epochs_.find(epoch);
-  MCS_EXPECTS(it != completed_epochs_.end(),
-              "wait_epoch: epoch " + std::to_string(epoch) +
-                  "'s outcome was already delivered (outcomes deliver exactly once)");
-  EpochOutcome outcome = std::move(it->second);
-  completed_epochs_.erase(it);
-  return outcome;
+  return *take(epochs_, epoch, "wait_epoch", true);
 }
 
 std::size_t CampaignService::stream_telemetry(TelemetrySink sink) {
@@ -341,9 +289,30 @@ void CampaignService::unsubscribe(std::size_t subscription) {
 }
 
 ServiceStats CampaignService::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  const auto snapshot = metrics_.snapshot();
+  const auto value = [&snapshot](Metric metric) {
+    return static_cast<std::uint64_t>(snapshot.values[metric].second);
+  };
+  return ServiceStats{
+      .submitted = value(kRoundsSubmitted),
+      .completed = value(kRoundsCompleted),
+      .replayed = value(kRoundsReplayed),
+      .failed = value(kRoundsFailed),
+      .degraded = value(kRoundsDegraded),
+      .shard_retries = value(kShardRetries),
+      .watchdog_fires = value(kWatchdogFires),
+      .sink_failures = value(kSinkFailures),
+      .sinks_quarantined = value(kSinksQuarantined),
+      .journal_append_failures = value(kJournalAppendFailures),
+      .arrivals_submitted = value(kArrivalsSubmitted),
+      .epochs_flushed = value(kEpochsFlushed),
+      .epochs_completed = value(kEpochsCompleted),
+      .epochs_replayed = value(kEpochsReplayed),
+      .epochs_failed = value(kEpochsFailed),
+  };
 }
+
+obs::Registry::Snapshot CampaignService::metrics() const { return metrics_.snapshot(); }
 
 template <typename Outcome, typename MakeRecord>
 void CampaignService::journal(Outcome& outcome, std::uint64_t id, std::size_t on_disk,
@@ -385,7 +354,7 @@ void CampaignService::dispatcher_loop() {
       }
       request = std::move(queue_.front());
       queue_.pop_front();
-      obs::Registry::global().add(ServiceMetrics::get().queue_depth, -1);
+      metrics_.add(kQueueDepth, -1);
     }
     queue_space_.notify_one();
 
@@ -403,7 +372,7 @@ void CampaignService::dispatcher_loop() {
 
     // The round's journaled shape must be captured before run_guarded takes
     // ownership of the request (the watchdog path moves it into the runner).
-    const RoundId round = request.round;
+    const RoundId round = request.id;
     const std::size_t users = request.payload.instance.num_users();
     const std::size_t tasks = request.payload.instance.num_tasks();
 
@@ -432,7 +401,7 @@ void CampaignService::dispatcher_loop() {
 RoundOutcome CampaignService::run_guarded(Request request) {
   // Journal-replayed rounds are instant and never wedge; the watchdog only
   // guards computed rounds.
-  if (config_.watchdog_seconds <= 0.0 || request.round < journaled_.size()) {
+  if (config_.watchdog_seconds <= 0.0 || request.id < journaled_.size()) {
     return compute(request);
   }
 
@@ -444,7 +413,7 @@ RoundOutcome CampaignService::run_guarded(Request request) {
     RoundOutcome outcome;
   };
   auto run = std::make_shared<GuardedRun>();
-  const RoundId round = request.round;
+  const RoundId round = request.id;
   run->request = std::move(request);
 
   // One thread per guarded round, not a second pool: the runner only
@@ -455,7 +424,7 @@ RoundOutcome CampaignService::run_guarded(Request request) {
     try {
       outcome = compute(run->request);
     } catch (const std::exception& e) {
-      outcome.round = run->request.round;
+      outcome.round = run->request.id;
       outcome.status = auction::AuctionStatus::kFailed;
       outcome.error = e.what();
     }
@@ -480,11 +449,7 @@ RoundOutcome CampaignService::run_guarded(Request request) {
   // The escalation ladder's last rung — cooperative deadlines and retries
   // both failed to bring the round home in time.
   abandoned_.push_back(std::move(runner));
-  {
-    std::lock_guard<std::mutex> stats_lock(mutex_);
-    ++stats_.watchdog_fires;
-  }
-  obs::Registry::global().add(ServiceMetrics::get().watchdog_fires, 1);
+  metrics_.add(kWatchdogFires, 1);
 
   RoundOutcome out;
   out.round = round;
@@ -497,16 +462,16 @@ RoundOutcome CampaignService::run_guarded(Request request) {
 
 RoundOutcome CampaignService::compute(const Request& request) {
   RoundOutcome out;
-  out.round = request.round;
+  out.round = request.id;
 
   // Durability: a round already settled in the journal is served from disk,
   // bit-identically, without recomputation — unless the resubmitted round's
   // shape diverges from what was journaled, which means the caller is not
   // replaying the same campaign.
-  if (request.round < journaled_.size()) {
+  if (request.id < journaled_.size()) {
     try {
       common::fault_point(config_.fault_injector.get(), common::FailPoint::kJournalReplay,
-                          request.round, 0);
+                          request.id, 0);
     } catch (const std::exception& e) {
       // A replay that cannot be read fails the round rather than silently
       // recomputing it — the journaled outcome is the settled truth.
@@ -514,11 +479,11 @@ RoundOutcome CampaignService::compute(const Request& request) {
       out.error = e.what();
       return out;
     }
-    const auto& record = journaled_[static_cast<std::size_t>(request.round)];
+    const auto& record = journaled_[static_cast<std::size_t>(request.id)];
     if (record.users != request.payload.instance.num_users() ||
         record.tasks != request.payload.instance.num_tasks()) {
       out.status = auction::AuctionStatus::kFailed;
-      out.error = "journal replay mismatch: round " + std::to_string(request.round) +
+      out.error = "journal replay mismatch: round " + std::to_string(request.id) +
                   " was journaled with " + std::to_string(record.users) + " users / " +
                   std::to_string(record.tasks) + " tasks but resubmitted with " +
                   std::to_string(request.payload.instance.num_users()) + " / " +
@@ -535,87 +500,55 @@ RoundOutcome CampaignService::compute(const Request& request) {
   }
 
   const auto start = std::chrono::steady_clock::now();
-  // The serial per-shard path exists for fault coverage: the kShardRun fail
-  // point and the retry loop need each shard attempt individually
-  // addressable. Engine batches are documented bit-identical to serial
-  // per-instance runs, so taking it never changes a healthy outcome; the
-  // batch fast path is kept for the common fault-free, no-retry service so
-  // PR 6 behavior stays byte-for-byte the same code.
-  const bool serial_shards =
-      config_.fault_injector != nullptr || config_.retry.max_attempts > 1;
   // Retry backoffs never sleep past the watchdog: a retry that cannot start
   // before the round is abandoned is pure waste.
   const auto deadline = common::Deadline::from_budget(config_.watchdog_seconds);
   try {
-    if (config_.shards.shard_count() == 1) {
-      // Pass-through: bit-identical to the bare engine by construction.
-      auction::AuctionOutcome slot;
-      if (serial_shards) {
-        std::uint64_t hit = 0;
-        std::size_t retries = 0;
-        const auction::Engine::SlotRunner run_flat = [&](std::size_t,
-                                                         const auction::MechanismConfig& config) {
-          return auction::multi_task::run_mechanism(request.payload.instance, config);
-        };
-        slot = attempt_shard(run_flat, 0, request.round, deadline, hit, retries);
-        out.shard_retries = retries;
-      } else {
-        slot = engine_.run_one_isolated(request.payload.instance, config_.mechanism);
-      }
-      out.status = slot.status;
-      out.outcome = std::move(slot.outcome);
-      out.error = std::move(slot.error);
-      out.shards_run = 1;
-    } else {
-      const auto partition = assign_owners(request.payload, config_.shards);
+    // Every shard attempt, first tries and retries alike, runs as a slot of
+    // ONE engine batch. The single-shard pass-through is a one-slot batch
+    // over the flat instance (bit-identical to the bare engine), and so is a
+    // sharded round no shard owns a task of (a zero-task round).
+    const auto& flat = request.payload.instance;
+    RoundPartition partition;
+    if (config_.shards.shard_count() > 1) {
+      partition = assign_owners(request.payload, config_.shards);
       out.straddlers = partition.straddlers.size();
-      if (partition.shards.empty()) {
-        // No shard owns a task (a zero-task round): run flat so the outcome
-        // matches whatever the mechanism says about the degenerate instance.
-        auto slot = engine_.run_one_isolated(request.payload.instance, config_.mechanism);
-        out.status = slot.status;
-        out.outcome = std::move(slot.outcome);
-        out.error = std::move(slot.error);
-        out.shards_run = 0;
-      } else {
-        // Each engine slot fills its shard's view straight from the
-        // submitted round and runs the mechanism on it, so the view builds
-        // run in parallel and a malformed slice fails only its own slot. The
-        // unmasked-reward oracle re-solves instance copies, so under it the
-        // slot builds the AoS slice instead.
-        const auto& flat = request.payload.instance;
-        const auction::Engine::SlotRunner run_slot =
-            [&](std::size_t slice, const auction::MechanismConfig& config) {
-              return config.multi_task.masked_rewards
-                         ? auction::multi_task::run_mechanism(
-                               slice_view(flat, partition, slice), config)
-                         : auction::multi_task::run_mechanism(
-                               slice_instance(flat, partition, slice), config);
-            };
-        std::vector<auction::AuctionOutcome> slots;
-        if (serial_shards) {
-          // Shards run in slice order, so with no faults and no retries the
-          // round's kShardRun hit index IS the slice index — how a schedule
-          // targets "round r, shard s" (see fault_injection.hpp).
-          slots.reserve(partition.shards.size());
-          std::uint64_t hit = 0;
-          std::size_t retries = 0;
-          for (std::size_t s = 0; s < partition.shards.size(); ++s) {
-            slots.push_back(attempt_shard(run_slot, s, request.round, deadline, hit, retries));
-          }
-          out.shard_retries = retries;
-        } else {
-          slots = engine_.run_isolated(partition.shards.size(), run_slot, config_.mechanism);
-        }
-        auto merged = merge_outcomes(flat, partition, slots,
-                                     config_.mechanism.multi_task.partial_coverage,
-                                     config_.merge_policy);
-        out.status = merged.status;
-        out.outcome = std::move(merged.outcome);
-        out.error = std::move(merged.error);
-        out.shards_run = partition.shards.size();
-      }
+      out.shards_run = partition.shards.size();
+    } else {
+      out.shards_run = 1;
     }
+    const std::size_t slots = std::max<std::size_t>(partition.shards.size(), 1);
+    // A shard's slot fills its view straight from the submitted round and
+    // runs the mechanism on it, so the view builds run in parallel and a
+    // malformed slice fails only its own slot. The unmasked-reward oracle
+    // re-solves instance copies, so under it the slot builds the AoS slice
+    // instead.
+    const auction::Engine::SlotRunner run_slot = [&](std::size_t slice,
+                                                     const auction::MechanismConfig& config) {
+      if (partition.shards.empty()) {
+        return auction::multi_task::run_mechanism(flat, config);
+      }
+      return config.multi_task.masked_rewards
+                 ? auction::multi_task::run_mechanism(slice_view(flat, partition, slice), config)
+                 : auction::multi_task::run_mechanism(slice_instance(flat, partition, slice),
+                                                      config);
+    };
+    std::vector<std::size_t> retries(slots, 0);
+    auto outcomes = engine_.run_isolated(
+        slots,
+        [&](std::size_t slot, const auction::MechanismConfig& config) {
+          return attempt_shard(run_slot, slot, slots, request.id, deadline, config, retries[slot]);
+        },
+        config_.mechanism);
+    out.shard_retries = std::accumulate(retries.begin(), retries.end(), std::size_t{0});
+    auto merged = partition.shards.empty()
+                      ? std::move(outcomes.front())
+                      : merge_outcomes(flat, partition, outcomes,
+                                       config_.mechanism.multi_task.partial_coverage,
+                                       config_.merge_policy);
+    out.status = merged.status;
+    out.outcome = std::move(merged.outcome);
+    out.error = std::move(merged.error);
   } catch (const std::exception& e) {
     // The owner pass rejected the round (task_cells misaligned with the
     // instance, a task id outside the round, a PoS array misaligned with its
@@ -629,35 +562,27 @@ RoundOutcome CampaignService::compute(const Request& request) {
   return out;
 }
 
-auction::AuctionOutcome CampaignService::attempt_shard(
-    const auction::Engine::SlotRunner& run_slot, std::size_t index, RoundId round,
-    const common::Deadline& deadline, std::uint64_t& hit, std::size_t& retries) const {
-  const auto run_index = [&](std::size_t, const auction::MechanismConfig& config) {
-    return run_slot(index, config);
-  };
-  auction::AuctionOutcome slot;
+auction::MechanismOutcome CampaignService::attempt_shard(
+    const auction::Engine::SlotRunner& run_slot, std::size_t slot, std::size_t slots,
+    RoundId round, const common::Deadline& deadline, const auction::MechanismConfig& config,
+    std::size_t& retries) const {
   double backoff = config_.retry.initial_backoff_seconds;
-  for (std::size_t attempt = 0;; ++attempt) {
+  for (std::uint64_t attempt = 0;; ++attempt) {
+    double remaining = 0.0;
     try {
       common::fault_point(config_.fault_injector.get(), common::FailPoint::kShardRun, round,
-                          hit++);
-      slot = engine_.run_isolated(1, run_index, config_.mechanism).front();
-    } catch (const std::exception& e) {
-      // An injected shard failure lands exactly where a real one would: a
-      // dead slot for the merge policy to rule on.
-      slot = auction::AuctionOutcome{};
-      slot.status = auction::AuctionStatus::kFailed;
-      slot.error = e.what();
+                          attempt * slots + slot);
+      return run_slot(slot, config);
+    } catch (const std::exception&) {
+      // An injected shard failure lands exactly where a real one would: the
+      // last attempt's exception becomes the engine's dead slot, for the
+      // merge policy to rule on. A degraded outcome returns, never retries.
+      remaining = deadline.remaining_seconds();
+      if (attempt + 1 >= config_.retry.max_attempts || remaining <= 0.0) {
+        throw;  // out of attempts, or the watchdog is about to fire
+      }
     }
-    if (!slot_dead(slot) || attempt + 1 >= config_.retry.max_attempts) {
-      return slot;
-    }
-    const double remaining = deadline.remaining_seconds();
-    if (remaining <= 0.0) {
-      return slot;  // the watchdog is about to fire; don't burn its budget
-    }
-    const double sleep_seconds =
-        std::isfinite(remaining) ? std::min(backoff, remaining) : backoff;
+    const double sleep_seconds = std::min(backoff, remaining);
     if (sleep_seconds > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));
     }
@@ -669,14 +594,14 @@ auction::AuctionOutcome CampaignService::attempt_shard(
 
 EpochOutcome CampaignService::compute_epoch(const Request& request) {
   EpochOutcome out;
-  out.epoch = request.epoch;
+  out.epoch = request.id;
 
   // Durability mirrors rounds: a journaled epoch is served from disk,
   // bit-identically, unless the re-fed arrivals diverge from what was
   // journaled (doubles round-trip exactly, so exact equality is the right
   // test).
-  if (request.epoch < journaled_epochs_.size()) {
-    const auto& record = journaled_epochs_[static_cast<std::size_t>(request.epoch)];
+  if (request.id < journaled_epochs_.size()) {
+    const auto& record = journaled_epochs_[static_cast<std::size_t>(request.id)];
     bool matches = record.arrivals.size() == request.arrivals.size();
     for (std::size_t k = 0; matches && k < record.arrivals.size(); ++k) {
       matches = record.arrivals[k].user == request.arrivals[k].user &&
@@ -685,7 +610,7 @@ EpochOutcome CampaignService::compute_epoch(const Request& request) {
     }
     if (!matches) {
       out.status = auction::AuctionStatus::kFailed;
-      out.error = "journal replay mismatch: epoch " + std::to_string(request.epoch) +
+      out.error = "journal replay mismatch: epoch " + std::to_string(request.id) +
                   " was journaled with " + std::to_string(record.arrivals.size()) +
                   " arrivals that do not match the " + std::to_string(request.arrivals.size()) +
                   " re-fed ones";
@@ -715,36 +640,22 @@ EpochOutcome CampaignService::compute_epoch(const Request& request) {
 }
 
 void CampaignService::publish_epoch(EpochOutcome outcome) {
-  obs::Registry::global().add(ServiceMetrics::get().online_accepts,
-                              static_cast<std::int64_t>(outcome.outcome.accepted));
-  obs::Registry::global().add(ServiceMetrics::get().online_threshold_updates,
-                              static_cast<std::int64_t>(outcome.outcome.threshold_updates));
+  metrics_.add(kOnlineAccepts, static_cast<std::int64_t>(outcome.outcome.accepted));
+  metrics_.add(kOnlineThresholdUpdates,
+               static_cast<std::int64_t>(outcome.outcome.threshold_updates));
   // Gauge (additive deltas, dispatcher-thread only): the last settled
   // epoch's unspent worst-case budget, in milli-units so the integer
   // registry keeps three decimals.
   const auto remaining_milli = static_cast<std::int64_t>(
       (config_.online.mechanism.budget - outcome.outcome.worst_case_payout) * 1000.0);
-  obs::Registry::global().add(ServiceMetrics::get().online_budget_remaining,
-                              remaining_milli - last_budget_remaining_milli_);
+  metrics_.add(kOnlineBudgetRemainingMilli, remaining_milli - last_budget_remaining_milli_);
   last_budget_remaining_milli_ = remaining_milli;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    MCS_ENSURES(outcome.epoch == next_epoch_completed_, "epochs must complete in flush order");
-    ++stats_.epochs_completed;
-    if (!outcome.journal_error.empty()) {
-      ++stats_.journal_append_failures;
-    }
-    if (outcome.replayed_from_journal) {
-      ++stats_.epochs_replayed;
-    }
-    if (!outcome.ok()) {
-      ++stats_.epochs_failed;
-    }
-    completed_epochs_.emplace(outcome.epoch, std::move(outcome));
-    ++next_epoch_completed_;
-    obs::Registry::global().add(ServiceMetrics::get().epochs_completed, 1);
-  }
-  round_done_.notify_all();
+  metrics_.add(kEpochsCompleted, 1);
+  metrics_.add(kJournalAppendFailures, outcome.journal_error.empty() ? 0 : 1);
+  metrics_.add(kEpochsReplayed, outcome.replayed_from_journal ? 1 : 0);
+  metrics_.add(kEpochsFailed, outcome.ok() ? 0 : 1);
+  const EpochId epoch = outcome.epoch;
+  complete(epochs_, epoch, std::move(outcome));
 }
 
 void CampaignService::publish(RoundOutcome outcome) {
@@ -768,13 +679,14 @@ void CampaignService::publish(RoundOutcome outcome) {
   struct SinkCall {
     std::size_t id = 0;
     TelemetrySink sink;
+    bool failed = false;
   };
   std::vector<SinkCall> calls;
   {
     std::lock_guard<std::mutex> lock(sinks_mutex_);
     for (const auto& sub : sinks_) {
       if (!sub.quarantined) {
-        calls.push_back(SinkCall{sub.id, sub.sink});
+        calls.push_back(SinkCall{sub.id, sub.sink, false});
       }
     }
   }
@@ -783,12 +695,6 @@ void CampaignService::publish(RoundOutcome outcome) {
   // the dispatcher thread, and its failure streak feeds the quarantine. The
   // kSinkDispatch hit index is the sink's ordinal in this round's delivery
   // list, so a schedule can target "round r, second sink".
-  struct SinkResult {
-    std::size_t id = 0;
-    bool failed = false;
-  };
-  std::vector<SinkResult> results;
-  results.reserve(calls.size());
   for (std::size_t ordinal = 0; ordinal < calls.size(); ++ordinal) {
     std::string error;
     const auto begin = std::chrono::steady_clock::now();
@@ -812,22 +718,22 @@ void CampaignService::publish(RoundOutcome outcome) {
       outcome.sink_errors.push_back("telemetry sink " + std::to_string(calls[ordinal].id) +
                                     ": " + error);
     }
-    results.push_back(SinkResult{calls[ordinal].id, !error.empty()});
+    calls[ordinal].failed = !error.empty();
   }
 
   // Streaks write back by id under the lock — a sink unsubscribed (or
   // replaced) mid-delivery is simply skipped.
   std::uint64_t sink_failures = 0;
   std::uint64_t newly_quarantined = 0;
-  if (!results.empty()) {
+  if (!calls.empty()) {
     std::lock_guard<std::mutex> lock(sinks_mutex_);
-    for (const auto& result : results) {
+    for (const auto& call : calls) {
       const auto it = std::find_if(sinks_.begin(), sinks_.end(),
-                                   [&result](const Subscription& s) { return s.id == result.id; });
+                                   [&call](const Subscription& s) { return s.id == call.id; });
       if (it == sinks_.end()) {
         continue;
       }
-      if (!result.failed) {
+      if (!call.failed) {
         it->consecutive_failures = 0;
         continue;
       }
@@ -840,40 +746,21 @@ void CampaignService::publish(RoundOutcome outcome) {
       }
     }
   }
-  if (newly_quarantined > 0) {
-    obs::Registry::global().add(ServiceMetrics::get().sinks_quarantined,
-                                static_cast<std::int64_t>(newly_quarantined));
+  // Counted before the outcome becomes pollable: complete()'s lock orders
+  // these adds before any stats() read that follows a delivery.
+  metrics_.add(kSinkFailures, static_cast<std::int64_t>(sink_failures));
+  metrics_.add(kSinksQuarantined, static_cast<std::int64_t>(newly_quarantined));
+  metrics_.add(kShardRetries, static_cast<std::int64_t>(outcome.shard_retries));
+  metrics_.add(kRoundsCompleted, 1);
+  metrics_.add(kJournalAppendFailures, outcome.journal_error.empty() ? 0 : 1);
+  metrics_.add(kRoundsReplayed, outcome.replayed_from_journal ? 1 : 0);
+  if (outcome.status == auction::AuctionStatus::kDegraded) {
+    metrics_.add(kRoundsDegraded, 1);
+  } else if (!outcome.ok()) {
+    metrics_.add(kRoundsFailed, 1);
   }
-  if (outcome.shard_retries > 0) {
-    obs::Registry::global().add(ServiceMetrics::get().shard_retries,
-                                static_cast<std::int64_t>(outcome.shard_retries));
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    MCS_ENSURES(outcome.round == next_completed_, "rounds must complete in submission order");
-    ++stats_.completed;
-    stats_.shard_retries += outcome.shard_retries;
-    stats_.sink_failures += sink_failures;
-    stats_.sinks_quarantined += newly_quarantined;
-    if (!outcome.journal_error.empty()) {
-      ++stats_.journal_append_failures;
-    }
-    if (outcome.replayed_from_journal) {
-      ++stats_.replayed;
-      obs::Registry::global().add(ServiceMetrics::get().replayed, 1);
-    }
-    if (outcome.status == auction::AuctionStatus::kDegraded) {
-      ++stats_.degraded;
-      obs::Registry::global().add(ServiceMetrics::get().rounds_degraded, 1);
-    } else if (!outcome.ok()) {
-      ++stats_.failed;
-    }
-    completed_.emplace(outcome.round, std::move(outcome));
-    ++next_completed_;
-    obs::Registry::global().add(ServiceMetrics::get().completed, 1);
-  }
-  round_done_.notify_all();
+  const RoundId round = outcome.round;
+  complete(rounds_, round, std::move(outcome));
 }
 
 }  // namespace mcs::service

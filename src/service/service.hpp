@@ -27,8 +27,8 @@
 //     and the load generator. Sinks must not call back into the service.
 //
 // Determinism contract (inherits shard.hpp's): with shard_count == 1 the
-// service is a pass-through — every outcome is bit-identical to
-// Engine::run_one_isolated on the same instance and config. With
+// service is a pass-through — every outcome is bit-identical to the
+// engine's isolated single-auction run on the same instance and config. With
 // shard_count > 1 outcomes are bit-identical to the flat run on
 // straddler-free rounds under CriticalBidRule::kBinarySearch; the
 // constructor refuses kPaperIterationMin at shard_count > 1 because that
@@ -76,10 +76,11 @@
 // A throwing/slow telemetry sink is quarantined after N consecutive
 // failures; a failed journal append quarantines journaling for the rest of
 // the service lifetime (the on-disk journal stays a valid replayable
-// prefix). Every recovery path is observable (service.shard_retries,
-// service.rounds_degraded, service.sinks_quarantined,
-// service.watchdog_fires) and every fault schedule is a pure function of
-// the ServiceConfig::fault_injector seed, so chaos runs replay bit-for-bit.
+// prefix). Every recovery path is observable in the service's own metrics
+// (service.shard_retries, service.rounds_degraded, service.sinks_quarantined,
+// service.watchdog_fires; see metrics()) and every fault schedule is a pure
+// function of the ServiceConfig::fault_injector seed and the attempt's
+// coordinates, so chaos runs replay bit-for-bit at any worker count.
 #pragma once
 
 #include <condition_variable>
@@ -125,8 +126,9 @@ struct ServiceConfig {
   /// surviving shards (see shard.hpp's MergePolicy contract).
   MergePolicy merge_policy = MergePolicy::kPoisonRound;
 
-  /// Per-shard retry with bounded exponential backoff. Attempts are total
-  /// (1 = no retry, today's behavior). Backoff sleeps are deadline-aware:
+  /// Per-shard retry with bounded exponential backoff, inside the shard's
+  /// slot of the round's engine batch (in parallel with the other shards).
+  /// Attempts are total (1 = no retry). Backoff sleeps are deadline-aware:
   /// with a watchdog configured, a retry never sleeps past the round's
   /// watchdog budget. Without a fault injector a deterministic mechanism
   /// failure fails identically on every attempt, so retries only change
@@ -257,7 +259,8 @@ struct RoundTelemetry {
 std::string to_json(const RoundTelemetry& telemetry);
 
 /// Monotonic counters over the service's lifetime (restarts reset them;
-/// journal-replayed rounds count as completed AND replayed).
+/// journal-replayed rounds count as completed AND replayed). Each field is
+/// the service.* metric of the same event (CampaignService::metrics()).
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -365,17 +368,43 @@ class CampaignService {
   /// may still be mid-call when this returns.
   void unsubscribe(std::size_t subscription);
 
+  /// The lifetime counters, read from this service's metrics. An event is
+  /// counted before its outcome becomes pollable, so stats() read after
+  /// wait_outcome/wait_epoch/drain includes that round or epoch.
   ServiceStats stats() const;
 
+  /// This service's own metrics, counted whether or not obs is enabled:
+  /// every ServiceStats field under its service.* name, the queue_depth and
+  /// online_budget_remaining_milli gauges, and the online_accepts and
+  /// online_threshold_updates counters. Services never share counts.
+  obs::Registry::Snapshot metrics() const;
+
  private:
+  /// A queued round (payload) or, with is_epoch, a sealed epoch
+  /// (arrivals); both travel the same queue. `id` is in its own sequence.
   struct Request {
-    RoundId round = 0;
-    GeoRound payload;
-    /// Epoch requests reuse the same queue: is_epoch selects which of the
-    /// two id sequences (and payloads) is live.
+    Request() = default;
+    explicit Request(GeoRound round) : payload(std::move(round)) {}
+    explicit Request(std::vector<auction::online::Arrival> sealed)
+        : is_epoch(true), arrivals(std::move(sealed)) {}
+
     bool is_epoch = false;
-    EpochId epoch = 0;
+    std::uint64_t id = 0;
+    GeoRound payload;
     std::vector<auction::online::Arrival> arrivals;
+  };
+
+  /// One id sequence — rounds or epochs: ids are handed out in submission
+  /// order, complete in that order, and each outcome is delivered once.
+  template <typename Outcome>
+  struct Sequence {
+    Sequence(const char* noun, const char* verb) : noun(noun), verb(verb) {}
+
+    const char* noun;  ///< "round" / "epoch", for error texts
+    const char* verb;  ///< "submitted" / "flushed"
+    std::map<std::uint64_t, Outcome> undelivered;
+    std::uint64_t next = 0;            ///< id the next submission gets
+    std::uint64_t next_completed = 0;  ///< lowest id not yet completed
   };
 
   struct Subscription {
@@ -385,20 +414,34 @@ class CampaignService {
     bool quarantined = false;
   };
 
+  /// Gives `request` the next id of its sequence, queues it and wakes the
+  /// dispatcher. `lock` holds mutex_ and is released on return.
+  std::uint64_t enqueue(std::unique_lock<std::mutex>& lock, Request request);
+  /// Delivers outcome `id` of `sequence` exactly once: poll (`block` false,
+  /// nullopt while pending) or wait. Throws PreconditionError, naming
+  /// `caller`, for an id never issued or already delivered.
+  template <typename Outcome>
+  std::optional<Outcome> take(Sequence<Outcome>& sequence, std::uint64_t id, const char* caller,
+                              bool block);
+  /// Makes outcome `id` of `sequence` pollable and wakes its waiters.
+  template <typename Outcome>
+  void complete(Sequence<Outcome>& sequence, std::uint64_t id, Outcome outcome);
+
   void dispatcher_loop();
   /// Runs compute, guarded by the watchdog when configured: on expiry the
   /// runner thread is abandoned (parked in abandoned_, joined at
   /// destruction) and a synthetic kTimedOut outcome is returned.
   RoundOutcome run_guarded(Request request);
   RoundOutcome compute(const Request& request);
-  /// Slot `index` of `run_slot` as one-slot engine batches, through the
-  /// kShardRun fail point and the retry/backoff loop. `hit` is the round's
-  /// running kShardRun hit counter (with no faults and no retries, hit ==
-  /// shard slice index); `retries` accumulates extra attempts.
-  auction::AuctionOutcome attempt_shard(const auction::Engine::SlotRunner& run_slot,
-                                        std::size_t index, RoundId round,
-                                        const common::Deadline& deadline, std::uint64_t& hit,
-                                        std::size_t& retries) const;
+  /// Slot `slot` of a round's `slots`-slot engine batch: run_slot through
+  /// the kShardRun fail point (attempt a is hit a·slots + slot) and the
+  /// retry/backoff loop, on the slot's pool worker. `retries` counts the
+  /// slot's extra attempts; the last failed attempt rethrows.
+  auction::MechanismOutcome attempt_shard(const auction::Engine::SlotRunner& run_slot,
+                                          std::size_t slot, std::size_t slots, RoundId round,
+                                          const common::Deadline& deadline,
+                                          const auction::MechanismConfig& config,
+                                          std::size_t& retries) const;
   /// Appends a settled round's or epoch's block (`make_record()`, stream
   /// `id`) unless the id is replayed or already on disk (below `on_disk`),
   /// or journaling is quarantined; records why on outcome.journal_error.
@@ -426,21 +469,18 @@ class CampaignService {
   /// Last value reported into the service.online_budget_remaining_milli
   /// gauge (the registry is delta-only). Dispatcher-thread only.
   std::int64_t last_budget_remaining_milli_ = 0;
+  /// Every service.* count, one per event (see metrics()).
+  obs::Registry metrics_;
 
-  mutable std::mutex mutex_;
-  std::condition_variable queue_space_;   ///< signaled when the queue shrinks
-  std::condition_variable queue_ready_;   ///< signaled when work or stop arrives
-  std::condition_variable round_done_;    ///< signaled when a round completes
+  std::mutex mutex_;
+  std::condition_variable queue_space_;  ///< signaled when the queue shrinks
+  std::condition_variable queue_ready_;  ///< signaled when work or stop arrives
+  std::condition_variable done_;         ///< signaled when an outcome completes
   std::deque<Request> queue_;
-  std::map<RoundId, RoundOutcome> completed_;  ///< undelivered outcomes
-  RoundId next_round_ = 0;       ///< id the next submission gets
-  RoundId next_completed_ = 0;   ///< lowest id not yet completed
-  /// Online ingestion state (all guarded by mutex_; empty while disabled).
+  Sequence<RoundOutcome> rounds_{"round", "submitted"};
+  Sequence<EpochOutcome> epochs_{"epoch", "flushed"};
+  /// Arrivals of the open epoch (guarded by mutex_; empty while disabled).
   std::vector<auction::online::Arrival> open_epoch_;
-  std::map<EpochId, EpochOutcome> completed_epochs_;  ///< undelivered epochs
-  EpochId next_epoch_ = 0;            ///< id the next flush gets
-  EpochId next_epoch_completed_ = 0;  ///< lowest epoch id not yet completed
-  ServiceStats stats_;
   bool stopping_ = false;
 
   std::mutex sinks_mutex_;

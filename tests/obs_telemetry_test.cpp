@@ -9,8 +9,11 @@
 // (the thread-shard merge must be sanitizer-clean).
 #include "obs/telemetry.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -159,6 +162,37 @@ TEST(Registry, ThreadShardsMergeToTheExactTotal) {
     expected += static_cast<std::int64_t>(index % 3 + 1);
   }
   EXPECT_EQ(registry.snapshot().value_of("test.cross-thread"), expected);
+}
+
+TEST(Registry, AddStaysCheapOnAThreadThatOutlivedManyRegistries) {
+  // A caller thread that drives one campaign service after another touches
+  // one registry per service. Its shard cache must drop the destroyed ones,
+  // or every later add scans one dead entry per service it ever drove.
+  const auto ns_per_add = [](Registry& registry) {
+    const auto counter = registry.metric("test.counter");
+    double best = std::numeric_limits<double>::infinity();
+    for (int sample = 0; sample < 3; ++sample) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int k = 0; k < 20000; ++k) {
+        registry.add(counter, 1);
+      }
+      const std::chrono::duration<double, std::nano> elapsed =
+          std::chrono::steady_clock::now() - start;
+      best = std::min(best, elapsed.count() / 20000.0);
+    }
+    return best;
+  };
+  Registry first;
+  const double fresh_ns = ns_per_add(first);
+  for (int k = 0; k < 5000; ++k) {
+    Registry short_lived;
+    short_lived.add(short_lived.metric("test.counter"), 1);
+  }
+  Registry last;
+  const double aged_ns = ns_per_add(last);
+  // Scanning 5,000 dead entries per add reads ~300x the fresh cost.
+  EXPECT_LT(aged_ns, 20.0 * fresh_ns + 50.0)
+      << "fresh " << fresh_ns << " ns/add, after 5000 dead registries " << aged_ns << " ns/add";
 }
 
 TEST(Registry, SnapshotDuringConcurrentAddsIsSanitizerClean) {

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/fault_injection.hpp"
 #include "platform/platform.hpp"
 #include "test_util.hpp"
 
@@ -451,6 +452,122 @@ TEST_F(JournalPathFixture, DivergingResubmissionFailsTheReplayedRound) {
 // ---------------------------------------------------------------------------
 // Platform wrapper: sharded campaigns through the service
 // ---------------------------------------------------------------------------
+
+// ---------------------------------------------------------------------------
+// Per-service counters: each service counts into its own registry, and
+// ServiceStats is a view over it.
+// ---------------------------------------------------------------------------
+
+/// The metrics() value of `name`; a name the service never registered is a
+/// failure, so a misspelt name cannot pass by reading 0.
+std::uint64_t metric_value(const obs::Registry::Snapshot& metrics, const std::string& name) {
+  for (const auto& [metric, value] : metrics.values) {
+    if (metric == name) {
+      return static_cast<std::uint64_t>(value);
+    }
+  }
+  ADD_FAILURE() << name << " is not among the service's metrics";
+  return 0;
+}
+
+void expect_stats_are_metrics(const CampaignService& service) {
+  const auto stats = service.stats();
+  const auto metrics = service.metrics();
+  EXPECT_EQ(stats.submitted, metric_value(metrics, "service.rounds_submitted"));
+  EXPECT_EQ(stats.completed, metric_value(metrics, "service.rounds_completed"));
+  EXPECT_EQ(stats.replayed, metric_value(metrics, "service.rounds_replayed"));
+  EXPECT_EQ(stats.failed, metric_value(metrics, "service.rounds_failed"));
+  EXPECT_EQ(stats.degraded, metric_value(metrics, "service.rounds_degraded"));
+  EXPECT_EQ(stats.shard_retries, metric_value(metrics, "service.shard_retries"));
+  EXPECT_EQ(stats.watchdog_fires, metric_value(metrics, "service.watchdog_fires"));
+  EXPECT_EQ(stats.sink_failures, metric_value(metrics, "service.sink_failures"));
+  EXPECT_EQ(stats.sinks_quarantined, metric_value(metrics, "service.sinks_quarantined"));
+  EXPECT_EQ(stats.journal_append_failures,
+            metric_value(metrics, "service.journal_append_failures"));
+  EXPECT_EQ(stats.arrivals_submitted, metric_value(metrics, "service.arrivals_submitted"));
+  EXPECT_EQ(stats.epochs_flushed, metric_value(metrics, "service.epochs_flushed"));
+  EXPECT_EQ(stats.epochs_completed, metric_value(metrics, "service.epochs_completed"));
+  EXPECT_EQ(stats.epochs_replayed, metric_value(metrics, "service.epochs_replayed"));
+  EXPECT_EQ(stats.epochs_failed, metric_value(metrics, "service.epochs_failed"));
+}
+
+TEST(CampaignServiceMetrics, TwoLiveServicesCountOnlyTheirOwnRounds) {
+  CampaignService busy{ServiceConfig{}};
+  CampaignService quiet{ServiceConfig{}};
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    busy.submit_round(flat_round(10, 3, 70 + k));
+  }
+  quiet.submit_round(flat_round(10, 3, 80));
+  busy.drain();
+  quiet.drain();
+
+  EXPECT_EQ(busy.stats().submitted, 3u);
+  EXPECT_EQ(busy.stats().completed, 3u);
+  EXPECT_EQ(quiet.stats().submitted, 1u);
+  EXPECT_EQ(quiet.stats().completed, 1u);
+  EXPECT_EQ(busy.metrics().value_of("service.rounds_completed"), 3);
+  EXPECT_EQ(quiet.metrics().value_of("service.rounds_completed"), 1);
+  // The queue-depth gauge is per service too: both queues are empty.
+  EXPECT_EQ(busy.metrics().value_of("service.queue_depth"), 0);
+  EXPECT_EQ(quiet.metrics().value_of("service.queue_depth"), 0);
+  expect_stats_are_metrics(busy);
+  expect_stats_are_metrics(quiet);
+}
+
+TEST_F(JournalPathFixture, EveryStatsFieldIsItsServiceMetric) {
+  ServiceConfig config;
+  config.shards = ShardMap(4);
+  config.merge_policy = MergePolicy::kDegradedMerge;
+  config.retry.max_attempts = 2;
+  config.retry.initial_backoff_seconds = 0.0;
+  config.sink_quarantine_failures = 2;
+  config.journal_path = journal_path_;
+  auto injector = std::make_shared<common::FaultInjector>(11);
+  common::FailPointSpec shard_faults;
+  // Round 0: slot 1's first attempt fails and its retry heals it. Round 1:
+  // slot 1 fails both attempts (hits 1 and 1·4 + 1), so the round degrades.
+  shard_faults.fail_at = {{0, 1}, {1, 1}, {1, 5}};
+  injector->configure(common::FailPoint::kShardRun, shard_faults);
+  common::FailPointSpec append_faults;
+  append_faults.fail_at = {{2, 0}};  // quarantines journaling from round 2 on
+  injector->configure(common::FailPoint::kJournalAppend, append_faults);
+  config.fault_injector = injector;
+  {
+    CampaignService service{config};
+    service.stream_telemetry([](const RoundTelemetry&) { throw std::runtime_error("sink down"); });
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      service.submit_round(celled_round(24, 8, 90 + k));
+    }
+    auto misaligned = celled_round(24, 8, 94);
+    misaligned.task_cells.pop_back();  // the owner pass rejects round 4
+    service.submit_round(std::move(misaligned));
+    service.drain();
+
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.submitted, 5u);
+    EXPECT_EQ(stats.completed, 5u);
+    EXPECT_EQ(stats.failed, 1u);
+    EXPECT_EQ(stats.degraded, 1u);
+    EXPECT_EQ(stats.shard_retries, 2u);
+    EXPECT_EQ(stats.sink_failures, 2u);
+    EXPECT_EQ(stats.sinks_quarantined, 1u);
+    EXPECT_EQ(stats.journal_append_failures, 3u);  // rounds 2, 3 and 4
+    expect_stats_are_metrics(service);
+    EXPECT_EQ(service.metrics().value_of("service.queue_depth"), 0);
+  }
+
+  // Rounds 0 and 1 reached the journal: a restart replays them, and counts
+  // them in its own metrics only.
+  config.fault_injector = nullptr;
+  CampaignService resumed{config};
+  for (std::uint64_t k = 0; k < 2; ++k) {
+    resumed.submit_round(celled_round(24, 8, 90 + k));
+  }
+  resumed.drain();
+  EXPECT_EQ(resumed.stats().replayed, 2u);
+  EXPECT_EQ(resumed.stats().submitted, 2u);
+  expect_stats_are_metrics(resumed);
+}
 
 TEST(PlatformSharded, ShardedCampaignRunsAndAccountsConsistently) {
   trace::CityConfig city_config;

@@ -30,11 +30,12 @@ using common::FailPointSpec;
 using common::FaultInjector;
 
 // Straddler-free celled round: user i bids on exactly task i % t, tasks
-// pinned to cells 0..t-1, so a 4-shard service has 4 live slices and the
-// kShardRun hit counter equals the slice index when nothing fails. With
-// n/t >= 3 users per task at PoS >= 0.35 every task clears its 0.5
-// requirement (1 - 0.65^3 ≈ 0.73), so a fault-free round — and every
-// surviving shard of a degraded one — is feasible by construction.
+// pinned to cells 0..t-1, so a 4-shard service has 4 live slices and a
+// first attempt's kShardRun hit is its slice index (attempt a of slice s
+// is hit a·4 + s). With n/t >= 3 users per task at PoS >= 0.35 every task
+// clears its 0.5 requirement (1 - 0.65^3 ≈ 0.73), so a fault-free round —
+// and every surviving shard of a degraded one — is feasible by
+// construction.
 GeoRound chaos_round(std::size_t n, std::size_t t, std::uint64_t seed) {
   GeoRound round;
   common::Rng rng(seed);
@@ -147,6 +148,63 @@ TEST(ServiceChaos, DifferentSeedsProduceDifferentSchedules) {
     differ = a[k].status != b[k].status || a[k].error != b[k].error;
   }
   EXPECT_TRUE(differ);
+}
+
+// ---------------------------------------------------------------------------
+// Order-free fault coordinates: attempt a of slot s in an S-slot round is
+// kShardRun hit a·S + s, so no coordinate depends on which sibling failed
+// first and a parallel retry replays bit for bit at any worker count.
+// ---------------------------------------------------------------------------
+
+TEST(ServiceChaos, RetryCoordinatesDependOnlyOnAttemptAndSlot) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    ServiceConfig config;
+    config.shards = ShardMap(4);
+    config.workers = workers;
+    config.retry.max_attempts = 2;
+    config.retry.initial_backoff_seconds = 0.0;
+    FailPointSpec faults;
+    // Hit 0 is slot 0's first attempt and hit 4 = 1·4 + 0 its retry, so
+    // slot 0 dies on both attempts while slots 1–3 never fail.
+    faults.fail_at = {{0, 0}, {0, 4}};
+    config.fault_injector = shard_fault_injector(7, faults);
+    CampaignService service{config};
+    const auto outcome = service.wait_outcome(service.submit_round(chaos_round(24, 8, 7)));
+    EXPECT_EQ(outcome.status, auction::AuctionStatus::kFailed) << "workers " << workers;
+    EXPECT_NE(outcome.error.find("shard 0: " + common::injected_fault_message(
+                                                   FailPoint::kShardRun, 0, 4)),
+              std::string::npos)
+        << "workers " << workers << ": " << outcome.error;
+    EXPECT_EQ(outcome.shard_retries, 1u) << "workers " << workers;
+  }
+}
+
+TEST(ServiceChaos, SeededScheduleReplaysAcrossWorkerCounts) {
+  constexpr std::size_t kRounds = 10;
+  ServiceConfig config;
+  config.shards = ShardMap(4);
+  config.merge_policy = MergePolicy::kDegradedMerge;
+  config.retry.max_attempts = 2;
+  config.retry.initial_backoff_seconds = 0.0;
+  FailPointSpec shard_faults;
+  shard_faults.fail_prob = 0.35;
+
+  config.workers = 1;
+  config.fault_injector = shard_fault_injector(20260808, shard_faults);
+  const auto serial = run_chaos_campaign(config, kRounds);
+  config.workers = 4;
+  config.fault_injector = shard_fault_injector(20260808, shard_faults);
+  const auto parallel = run_chaos_campaign(config, kRounds);
+
+  ASSERT_EQ(serial.size(), kRounds);
+  ASSERT_EQ(parallel.size(), kRounds);
+  for (std::size_t k = 0; k < kRounds; ++k) {
+    EXPECT_EQ(serial[k].status, parallel[k].status) << "round " << k;
+    EXPECT_EQ(serial[k].error, parallel[k].error) << "round " << k;
+    EXPECT_EQ(serial[k].winners, parallel[k].winners) << "round " << k;
+    EXPECT_EQ(serial[k].uncovered, parallel[k].uncovered) << "round " << k;
+    EXPECT_EQ(serial[k].shard_retries, parallel[k].shard_retries) << "round " << k;
+  }
 }
 
 // ---------------------------------------------------------------------------

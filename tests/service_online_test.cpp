@@ -181,6 +181,60 @@ TEST(ServiceOnlineApi, RoundsAndEpochsInterleaveIndependently) {
   EXPECT_EQ(stats.epochs_completed, 1u);
 }
 
+// ---------------------------------------------------------------------------
+// Per-service epoch counters: each epoch field of ServiceStats is the
+// metrics() value of its service.* name, and the budget gauge reads the
+// last settled epoch.
+// ---------------------------------------------------------------------------
+
+void expect_epoch_stats_are_metrics(const CampaignService& service) {
+  const auto stats = service.stats();
+  const auto metrics = service.metrics();
+  const auto value = [&metrics](const std::string& name) {
+    return static_cast<std::uint64_t>(metrics.value_of(name));
+  };
+  EXPECT_EQ(stats.arrivals_submitted, value("service.arrivals_submitted"));
+  EXPECT_EQ(stats.epochs_flushed, value("service.epochs_flushed"));
+  EXPECT_EQ(stats.epochs_completed, value("service.epochs_completed"));
+  EXPECT_EQ(stats.epochs_replayed, value("service.epochs_replayed"));
+  EXPECT_EQ(stats.epochs_failed, value("service.epochs_failed"));
+  EXPECT_EQ(stats.journal_append_failures, value("service.journal_append_failures"));
+}
+
+TEST(ServiceOnlineMetrics, BudgetGaugeReadsTheLastSettledEpoch) {
+  const auto config = online_config();
+  CampaignService service{config};
+  std::int64_t accepted = 0;
+  EpochOutcome last;
+  for (std::uint64_t e = 0; e < 3; ++e) {
+    for (const auto& bid : arrival_feed(20, 50 + e)) {
+      service.submit_arrival(bid);
+    }
+    last = service.wait_epoch(*service.flush_epoch());
+    ASSERT_TRUE(last.ok());
+    accepted += static_cast<std::int64_t>(last.outcome.accepted);
+  }
+  service.drain();
+
+  const auto metrics = service.metrics();
+  EXPECT_EQ(metrics.value_of("service.online_budget_remaining_milli"),
+            static_cast<std::int64_t>(
+                (config.online.mechanism.budget - last.outcome.worst_case_payout) * 1000.0));
+  EXPECT_EQ(metrics.value_of("service.online_accepts"), accepted);
+  EXPECT_EQ(metrics.value_of("service.queue_depth"), 0);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.arrivals_submitted, 60u);
+  EXPECT_EQ(stats.epochs_flushed, 3u);
+  EXPECT_EQ(stats.epochs_completed, 3u);
+  expect_epoch_stats_are_metrics(service);
+
+  // A second live service starts from zero: no count leaks between services.
+  CampaignService other{config};
+  EXPECT_EQ(other.stats().epochs_completed, 0u);
+  EXPECT_EQ(other.metrics().value_of("service.online_budget_remaining_milli"), 0);
+  expect_epoch_stats_are_metrics(other);
+}
+
 TEST(EpochJournal, RecordRoundTripsThroughText) {
   ServiceEpochRecord record;
   record.epoch = 0;
@@ -317,6 +371,38 @@ TEST_F(EpochJournalFixture, ReplayWithDivergingArrivalsFailsTheEpoch) {
   // journal stays loadable (contiguous from 0) after the mismatch.
   CampaignService again{config};
   EXPECT_EQ(again.journaled_epochs(), 1u);
+}
+
+TEST_F(EpochJournalFixture, ReplayedAndFailedEpochsAreTheirMetrics) {
+  auto config = online_config();
+  config.journal_path = journal_path_;
+  {
+    CampaignService service{config};
+    for (std::uint64_t e = 0; e < 2; ++e) {
+      for (const auto& bid : arrival_feed(10, 60 + e)) {
+        service.submit_arrival(bid);
+      }
+      service.flush_epoch();
+    }
+    service.drain();
+    expect_epoch_stats_are_metrics(service);
+  }
+  CampaignService restarted{config};
+  ASSERT_EQ(restarted.journaled_epochs(), 2u);
+  for (const auto& bid : arrival_feed(10, 60)) {  // epoch 0 as journaled
+    restarted.submit_arrival(bid);
+  }
+  restarted.flush_epoch();
+  for (const auto& bid : arrival_feed(10, 99)) {  // epoch 1 diverges
+    restarted.submit_arrival(bid);
+  }
+  restarted.flush_epoch();
+  restarted.drain();
+  const auto stats = restarted.stats();
+  EXPECT_EQ(stats.epochs_completed, 2u);
+  EXPECT_EQ(stats.epochs_replayed, 1u);
+  EXPECT_EQ(stats.epochs_failed, 1u);
+  expect_epoch_stats_are_metrics(restarted);
 }
 
 TEST_F(EpochJournalFixture, OnlineFingerprintGatesTheJournal) {
