@@ -1,118 +1,73 @@
 #include "auction/io.hpp"
 
-#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/text.hpp"
 
 namespace mcs::auction {
 
 namespace {
 
+using common::text::fail;
+using common::text::format_double;
+using common::text::Line;
+using common::text::to_count;
+
 constexpr const char* kSingleHeader = "mcs-single-task-v1";
 constexpr const char* kMultiHeader = "mcs-multi-task-v1";
 constexpr const char* kDefaultSource = "instance text";
+constexpr const char* kFileKind = "instance file";
 
 /// Upper bound on the declared task count: a hostile 'tasks 1e15' line must
 /// fail cleanly instead of attempting a huge allocation.
 constexpr std::size_t kMaxTaskCount = std::size_t{1} << 20;
 
-std::string format_double(double value) {
-  char buffer[64];
-  // %.17g is the shortest precision that round-trips every double exactly.
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-[[noreturn]] void fail(const std::string& source, std::size_t line_number,
-                       const std::string& message) {
-  throw common::PreconditionError(source + ", line " + std::to_string(line_number) + ": " +
-                                  message);
-}
-
-/// Splits the text into (line number, tokens) records, dropping comments and
-/// blank lines.
-std::vector<std::pair<std::size_t, std::vector<std::string>>> tokenize(
-    const std::string& text) {
-  std::vector<std::pair<std::size_t, std::vector<std::string>>> records;
-  std::istringstream stream(text);
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(stream, line)) {
-    ++line_number;
-    const auto comment = line.find('#');
-    if (comment != std::string::npos) {
-      line.resize(comment);
-    }
-    std::istringstream fields(line);
-    std::vector<std::string> tokens;
-    std::string token;
-    while (fields >> token) {
-      tokens.push_back(std::move(token));
-    }
-    if (!tokens.empty()) {
-      records.emplace_back(line_number, std::move(tokens));
-    }
+/// The meaningful lines of `text`, whose first must be the `header` line.
+std::vector<Line> scan_instance(std::string_view text, std::string_view header,
+                                const std::string& source) {
+  auto lines = common::text::scan_lines(text);
+  if (lines.empty() || lines.front().tokens.size() != 1 || lines.front().keyword() != header) {
+    fail(source, lines.empty() ? 1 : lines.front().number,
+         "missing " + std::string(header) + " header");
   }
-  return records;
+  return lines;
 }
 
-double parse_double(const std::string& source, const std::string& token,
-                    std::size_t line_number) {
-  double value{};
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) {
-    fail(source, line_number, "malformed number '" + token + "'");
-  }
-  // from_chars happily parses "inf" and "nan"; neither is a valid cost, PoS,
+double parse_double(const std::string& source, std::string_view token, std::size_t line_number) {
+  const double value = common::text::to_double(source, line_number, token);
+  // The number parser accepts "inf" and "nan"; neither is a valid cost, PoS,
   // or requirement anywhere in the formats.
   if (!std::isfinite(value)) {
-    fail(source, line_number, "non-finite number '" + token + "'");
+    fail(source, line_number, "non-finite number '" + std::string(token) + "'");
   }
   return value;
 }
 
-std::size_t parse_size(const std::string& source, const std::string& token,
-                       std::size_t line_number) {
-  std::size_t value{};
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) {
-    fail(source, line_number, "malformed count '" + token + "'");
-  }
-  return value;
-}
-
-double parse_pos(const std::string& source, const std::string& token,
-                 std::size_t line_number) {
+double parse_pos(const std::string& source, std::string_view token, std::size_t line_number) {
   const double pos = parse_double(source, token, line_number);
   if (pos < 0.0 || pos > 1.0) {
-    fail(source, line_number, "PoS " + token + " out of range [0, 1]");
+    fail(source, line_number, "PoS " + std::string(token) + " out of range [0, 1]");
   }
   return pos;
 }
 
-double parse_requirement(const std::string& source, const std::string& token,
+double parse_requirement(const std::string& source, std::string_view token,
                          std::size_t line_number) {
   const double requirement = parse_double(source, token, line_number);
   if (requirement <= 0.0 || requirement >= 1.0) {
-    fail(source, line_number, "PoS requirement " + token + " out of range (0, 1)");
+    fail(source, line_number, "PoS requirement " + std::string(token) + " out of range (0, 1)");
   }
   return requirement;
 }
 
-double parse_cost(const std::string& source, const std::string& token,
-                  std::size_t line_number) {
+double parse_cost(const std::string& source, std::string_view token, std::size_t line_number) {
   const double cost = parse_double(source, token, line_number);
   if (cost <= 0.0) {
-    fail(source, line_number, "cost " + token + " must be strictly positive");
+    fail(source, line_number, "cost " + std::string(token) + " must be strictly positive");
   }
   return cost;
 }
@@ -128,17 +83,13 @@ void validate_parsed(const Instance& instance, const std::string& source) {
   }
 }
 
-SingleTaskInstance parse_single_task(const std::string& text, const std::string& source) {
-  const auto records = tokenize(text);
-  if (records.empty() || records.front().second.size() != 1 ||
-      records.front().second.front() != kSingleHeader) {
-    fail(source, records.empty() ? 1 : records.front().first,
-         "missing mcs-single-task-v1 header");
-  }
+SingleTaskInstance parse_single_task(std::string_view text, const std::string& source) {
+  const auto lines = scan_instance(text, kSingleHeader, source);
   SingleTaskInstance instance;
   bool have_requirement = false;
-  for (std::size_t r = 1; r < records.size(); ++r) {
-    const auto& [line_number, tokens] = records[r];
+  for (std::size_t r = 1; r < lines.size(); ++r) {
+    const std::size_t line_number = lines[r].number;
+    const auto& tokens = lines[r].tokens;
     if (tokens.front() == "requirement") {
       if (tokens.size() != 2 || have_requirement) {
         fail(source, line_number, "expected exactly one 'requirement <pos>' line");
@@ -152,34 +103,30 @@ SingleTaskInstance parse_single_task(const std::string& text, const std::string&
       instance.bids.push_back({parse_cost(source, tokens[1], line_number),
                                parse_pos(source, tokens[2], line_number)});
     } else {
-      fail(source, line_number, "unknown directive '" + tokens.front() + "'");
+      fail(source, line_number, "unknown directive '" + std::string(tokens.front()) + "'");
     }
   }
   if (!have_requirement) {
-    fail(source, records.back().first, "instance is missing its requirement line");
+    fail(source, lines.back().number, "instance is missing its requirement line");
   }
   validate_parsed(instance, source);
   return instance;
 }
 
-MultiTaskInstance parse_multi_task(const std::string& text, const std::string& source) {
-  const auto records = tokenize(text);
-  if (records.empty() || records.front().second.size() != 1 ||
-      records.front().second.front() != kMultiHeader) {
-    fail(source, records.empty() ? 1 : records.front().first,
-         "missing mcs-multi-task-v1 header");
-  }
+MultiTaskInstance parse_multi_task(std::string_view text, const std::string& source) {
+  const auto lines = scan_instance(text, kMultiHeader, source);
   MultiTaskInstance instance;
   bool have_tasks = false;
   std::size_t tasks_line = 0;
   std::vector<bool> requirement_seen;
-  for (std::size_t r = 1; r < records.size(); ++r) {
-    const auto& [line_number, tokens] = records[r];
+  for (std::size_t r = 1; r < lines.size(); ++r) {
+    const std::size_t line_number = lines[r].number;
+    const auto& tokens = lines[r].tokens;
     if (tokens.front() == "tasks") {
       if (tokens.size() != 2 || have_tasks) {
         fail(source, line_number, "expected exactly one 'tasks <count>' line before anything else");
       }
-      const std::size_t count = parse_size(source, tokens[1], line_number);
+      const std::size_t count = to_count(source, line_number, tokens[1]);
       if (count == 0 || count > kMaxTaskCount) {
         fail(source, line_number,
              "task count must lie in [1, " + std::to_string(kMaxTaskCount) + "]");
@@ -195,12 +142,12 @@ MultiTaskInstance parse_multi_task(const std::string& text, const std::string& s
       if (tokens.size() != 3) {
         fail(source, line_number, "expected 'requirement <task> <pos>'");
       }
-      const std::size_t task = parse_size(source, tokens[1], line_number);
+      const std::size_t task = to_count(source, line_number, tokens[1]);
       if (task >= instance.num_tasks()) {
         fail(source, line_number, "task index out of range");
       }
       if (requirement_seen[task]) {
-        fail(source, line_number, "duplicate requirement for task " + tokens[1]);
+        fail(source, line_number, "duplicate requirement for task " + std::string(tokens[1]));
       }
       instance.requirement_pos[task] = parse_requirement(source, tokens[2], line_number);
       requirement_seen[task] = true;
@@ -213,7 +160,7 @@ MultiTaskInstance parse_multi_task(const std::string& text, const std::string& s
       }
       MultiTaskUserBid bid;
       bid.cost = parse_cost(source, tokens[1], line_number);
-      const std::size_t count = parse_size(source, tokens[2], line_number);
+      const std::size_t count = to_count(source, line_number, tokens[2]);
       if (count == 0) {
         fail(source, line_number, "single-minded users must demand at least one task");
       }
@@ -221,31 +168,32 @@ MultiTaskInstance parse_multi_task(const std::string& text, const std::string& s
         fail(source, line_number, "task:pos pair count does not match the declared count");
       }
       for (std::size_t k = 0; k < count; ++k) {
-        const auto& pair = tokens[3 + k];
+        const std::string_view pair = tokens[3 + k];
         const auto colon = pair.find(':');
-        if (colon == std::string::npos) {
-          fail(source, line_number, "expected task:pos, got '" + pair + "'");
+        if (colon == std::string_view::npos) {
+          fail(source, line_number, "expected task:pos, got '" + std::string(pair) + "'");
         }
-        const std::size_t task = parse_size(source, pair.substr(0, colon), line_number);
+        const std::size_t task = to_count(source, line_number, pair.substr(0, colon));
         if (task >= instance.num_tasks()) {
-          fail(source, line_number, "task index out of range in '" + pair + "'");
+          fail(source, line_number, "task index out of range in '" + std::string(pair) + "'");
         }
         if (!bid.tasks.empty() && static_cast<std::size_t>(bid.tasks.back()) >= task) {
           fail(source, line_number,
-               static_cast<std::size_t>(bid.tasks.back()) == task
-                   ? "duplicate task index in '" + pair + "'"
-                   : "task set must be strictly ascending at '" + pair + "'");
+               (static_cast<std::size_t>(bid.tasks.back()) == task
+                    ? "duplicate task index in '"
+                    : "task set must be strictly ascending at '") +
+                   std::string(pair) + "'");
         }
         bid.tasks.push_back(static_cast<TaskIndex>(task));
         bid.pos.push_back(parse_pos(source, pair.substr(colon + 1), line_number));
       }
       instance.users.push_back(std::move(bid));
     } else {
-      fail(source, line_number, "unknown directive '" + tokens.front() + "'");
+      fail(source, line_number, "unknown directive '" + std::string(tokens.front()) + "'");
     }
   }
   if (!have_tasks) {
-    fail(source, records.back().first, "instance is missing its tasks line");
+    fail(source, lines.back().number, "instance is missing its tasks line");
   }
   for (std::size_t j = 0; j < requirement_seen.size(); ++j) {
     if (!requirement_seen[j]) {
@@ -254,27 +202,6 @@ MultiTaskInstance parse_multi_task(const std::string& text, const std::string& s
   }
   validate_parsed(instance, source);
   return instance;
-}
-
-std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open instance file for reading: " + path.string());
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void write_file(const std::filesystem::path& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("cannot open instance file for writing: " + path.string());
-  }
-  out << text;
-  if (!out) {
-    throw std::runtime_error("failed writing instance file: " + path.string());
-  }
 }
 
 }  // namespace
@@ -315,31 +242,30 @@ MultiTaskInstance multi_task_from_text(const std::string& text) {
 }
 
 void save_single_task(const std::filesystem::path& path, const SingleTaskInstance& instance) {
-  write_file(path, to_text(instance));
+  common::text::write_file(path, to_text(instance), kFileKind);
 }
 
 void save_multi_task(const std::filesystem::path& path, const MultiTaskInstance& instance) {
-  write_file(path, to_text(instance));
+  common::text::write_file(path, to_text(instance), kFileKind);
 }
 
 SingleTaskInstance load_single_task(const std::filesystem::path& path) {
-  return parse_single_task(read_file(path), path.string());
+  return parse_single_task(common::text::read_file(path, kFileKind), path.string());
 }
 
 MultiTaskInstance load_multi_task(const std::filesystem::path& path) {
-  return parse_multi_task(read_file(path), path.string());
+  return parse_multi_task(common::text::read_file(path, kFileKind), path.string());
 }
 
 std::string detect_instance_kind(const std::string& text) {
-  const auto records = tokenize(text);
-  if (records.empty() || records.front().second.size() != 1) {
+  Line header;
+  if (!common::text::LineScanner(text).next(header) || header.tokens.size() != 1) {
     return "";
   }
-  const auto& header = records.front().second.front();
-  if (header == kSingleHeader) {
+  if (header.keyword() == kSingleHeader) {
     return "single";
   }
-  if (header == kMultiHeader) {
+  if (header.keyword() == kMultiHeader) {
     return "multi";
   }
   return "";

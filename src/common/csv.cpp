@@ -1,9 +1,9 @@
 #include "common/csv.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/text.hpp"
 
 namespace mcs::common {
 
@@ -123,24 +123,11 @@ std::string to_csv(const CsvTable& table) {
 }
 
 CsvTable read_csv_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open CSV file for reading: " + path.string());
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_csv(buffer.str());
+  return parse_csv(text::read_file(path, "CSV file"));
 }
 
 void write_csv_file(const std::filesystem::path& path, const CsvTable& table) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("cannot open CSV file for writing: " + path.string());
-  }
-  out << to_csv(table);
-  if (!out) {
-    throw std::runtime_error("failed writing CSV file: " + path.string());
-  }
+  text::write_file(path, to_csv(table), "CSV file");
 }
 
 }  // namespace mcs::common

@@ -1,10 +1,7 @@
 #include "common/journal.hpp"
 
-#include <charconv>
-#include <limits>
 #include <map>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
 
 #include "common/check.hpp"
@@ -13,78 +10,8 @@ namespace mcs::common::journal {
 
 namespace {
 
-/// The characters `std::istream >> std::string` skips in the C locale.
-constexpr std::string_view kSpace = " \t\n\v\f\r";
-
-[[noreturn]] void fail(const Format& format, std::size_t line_number,
-                       const std::string& message) {
-  throw PreconditionError(std::string(format.name) + ", line " + std::to_string(line_number) +
-                          ": " + message);
-}
-
-template <typename T>
-bool parse_token(const std::string& token, T& value) {
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  return ec == std::errc() && ptr == end;
-}
-
-/// Reads the meaningful lines of a text one at a time, so a caller holds
-/// only the lines it keeps. A copy resumes from the same place.
-class LineScanner {
- public:
-  explicit LineScanner(std::string_view text) : text_(text) {}
-
-  /// Overwrites `line` with the next meaningful line; false at the end.
-  bool next(Line& line) {
-    while (pos_ < text_.size()) {
-      ++number_;
-      const auto newline = text_.find('\n', pos_);
-      const bool terminated = newline != std::string_view::npos;
-      const std::size_t end_offset = terminated ? newline + 1 : text_.size();
-      std::string_view raw = text_.substr(pos_, end_offset - pos_ - (terminated ? 1 : 0));
-      pos_ = end_offset;
-      if (!raw.empty() && raw.back() == '\r') {
-        raw.remove_suffix(1);
-      }
-      const auto first = raw.find_first_not_of(kSpace);
-      if (first == std::string_view::npos || raw[first] == '#') {
-        continue;  // blank or comment
-      }
-      const auto keyword_end = raw.find_first_of(kSpace, first);
-      const std::string_view keyword = raw.substr(first, keyword_end - first);
-      line.number = number_;
-      line.end_offset = end_offset;
-      line.terminated = terminated;
-      line.tokens.clear();
-      line.raw_text.clear();
-      if (keyword == "error" || keyword == "config") {
-        const auto value = raw.find_first_not_of(kSpace, keyword_end);
-        line.tokens.emplace_back(keyword);
-        if (value != std::string_view::npos) {
-          line.raw_text = raw.substr(value);
-        }
-      } else {
-        const std::string_view body = raw.substr(0, raw.find('#'));
-        for (auto start = body.find_first_not_of(kSpace); start != std::string_view::npos;) {
-          const auto stop = body.find_first_of(kSpace, start);
-          line.tokens.emplace_back(body.substr(start, stop - start));
-          start = body.find_first_not_of(kSpace, stop);
-        }
-      }
-      return true;
-    }
-    return false;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;     ///< offset of the next unread line
-  std::size_t number_ = 0;  ///< 1-based number of the last line read
-};
-
 /// Whether any line `scanner` has yet to read is an `end` line.
-bool any_end_line(LineScanner scanner) {
+bool any_end_line(text::LineScanner scanner) {
   for (Line line; scanner.next(line);) {
     if (line.keyword() == "end") {
       return true;
@@ -104,15 +31,6 @@ std::string flatten_newlines(std::string text) {
   return text;
 }
 
-std::vector<Line> scan_lines(std::string_view text) {
-  std::vector<Line> lines;
-  LineScanner scanner(text);
-  for (Line line; scanner.next(line);) {
-    lines.push_back(std::move(line));
-  }
-  return lines;
-}
-
 BlockReader::BlockReader(const Format& format, const std::vector<Line>& lines, std::size_t begin,
                          std::size_t end)
     : format_(format), lines_(lines), begin_(begin), end_(end), next_(begin + 1) {
@@ -123,12 +41,11 @@ BlockReader::BlockReader(const Format& format, const std::vector<Line>& lines, s
   id_ = to_u64(head, 2);
   const Line& tail = lines_[end_];
   if (tail.tokens.size() != 3 || tail.tokens[1] != kind() || to_u64(tail, 2) != id_) {
-    fail(tail, "expected 'end " + kind() + " " + std::to_string(id_) + "'");
+    fail(tail, "expected " + end_line());
   }
   for (std::size_t k = next_; k < end_; ++k) {
     if (lines_[k].keyword() == "begin") {
-      fail(lines_[k], "unterminated block: 'begin' before 'end " + kind() + " " +
-                          std::to_string(id_) + "'");
+      fail(lines_[k], "unterminated block: 'begin' before " + end_line());
     }
   }
 }
@@ -146,7 +63,8 @@ const Line& BlockReader::expect(std::string_view keyword) {
   }
   const Line& line = lines_[next_++];
   if (line.keyword() != keyword) {
-    fail(line, "expected '" + std::string(keyword) + "', found '" + line.keyword() + "'");
+    fail(line, "expected '" + std::string(keyword) + "', found '" + std::string(line.keyword()) +
+                   "'");
   }
   return line;
 }
@@ -154,19 +72,22 @@ const Line& BlockReader::expect(std::string_view keyword) {
 std::uint64_t BlockReader::expect_count(std::string_view keyword) {
   const Line& line = expect(keyword);
   if (line.tokens.size() < 2) {
-    fail(line, "expected '" + line.keyword() + " <count> ...'");
+    fail(line, "expected '" + std::string(keyword) + " <count> ...'");
   }
   return to_u64(line, 1);
 }
 
 void BlockReader::expect_end() const {
   if (!at_end()) {
-    fail(peek(), "expected 'end " + kind() + " " + std::to_string(id_) + "', found '" +
-                     peek().keyword() + "'");
+    fail(peek(), "expected " + end_line() + ", found '" + std::string(peek().keyword()) + "'");
   }
 }
 
-const std::string& BlockReader::token(const Line& line, std::size_t k) const {
+std::string BlockReader::end_line() const {
+  return "'end " + std::string(kind()) + " " + std::to_string(id_) + "'";
+}
+
+std::string_view BlockReader::token(const Line& line, std::size_t k) const {
   if (k >= line.tokens.size()) {
     fail(line, "expected " + std::to_string(k + 1) + " fields, found " +
                    std::to_string(line.tokens.size()));
@@ -175,51 +96,38 @@ const std::string& BlockReader::token(const Line& line, std::size_t k) const {
 }
 
 double BlockReader::to_double(const Line& line, std::size_t k) const {
-  double value{};
-  if (!parse_token(token(line, k), value)) {
-    fail(line, "malformed number '" + line.tokens[k] + "'");
-  }
-  return value;
+  return text::to_double(format_.name, line.number, token(line, k));
 }
 
 std::uint64_t BlockReader::to_u64(const Line& line, std::size_t k) const {
-  std::uint64_t value{};
-  if (!parse_token(token(line, k), value)) {
-    fail(line, "malformed count '" + line.tokens[k] + "'");
-  }
-  return value;
+  return text::to_count(format_.name, line.number, token(line, k));
 }
 
 std::int32_t BlockReader::to_i32(const Line& line, std::size_t k) const {
-  std::int64_t value{};
-  if (!parse_token(token(line, k), value) || value < std::numeric_limits<std::int32_t>::min() ||
-      value > std::numeric_limits<std::int32_t>::max()) {
-    fail(line, "malformed id '" + line.tokens[k] + "'");
-  }
-  return static_cast<std::int32_t>(value);
+  return text::to_id(format_.name, line.number, token(line, k));
 }
 
 double BlockReader::value(const Line& line) const {
   if (line.tokens.size() != 2) {
-    fail(line, "expected '" + line.keyword() + " <value>'");
+    fail(line, "expected '" + std::string(line.keyword()) + " <value>'");
   }
   return to_double(line, 1);
 }
 
 bool BlockReader::flag(const Line& line) const {
   if (line.tokens.size() != 2 || (line.tokens[1] != "0" && line.tokens[1] != "1")) {
-    fail(line, "expected '" + line.keyword() + " 0|1'");
+    fail(line, "expected '" + std::string(line.keyword()) + " 0|1'");
   }
   return line.tokens[1] == "1";
 }
 
 std::vector<std::int32_t> BlockReader::ids(const Line& line) const {
   if (line.tokens.size() < 2) {
-    fail(line, "expected '" + line.keyword() + " <count> <ids>...'");
+    fail(line, "expected '" + std::string(line.keyword()) + " <count> <ids>...'");
   }
   const std::uint64_t count = to_u64(line, 1);
   if (line.tokens.size() != count + 2) {
-    fail(line, line.keyword() + " count does not match the listed ids");
+    fail(line, std::string(line.keyword()) + " count does not match the listed ids");
   }
   std::vector<std::int32_t> ids;
   ids.reserve(count);
@@ -230,13 +138,13 @@ std::vector<std::int32_t> BlockReader::ids(const Line& line) const {
 }
 
 void BlockReader::fail(const Line& line, const std::string& message) const {
-  journal::fail(format_, line.number, message);
+  text::fail(format_.name, line.number, message);
 }
 
 Frame parse(const Format& format, std::string_view text, const BlockDecoder& decode) {
   // One block's lines at a time: memory stays bounded by the largest block,
   // whatever the journal's length.
-  LineScanner scanner(text);
+  text::LineScanner scanner(text);
   Frame frame;
   Line line;
   if (!scanner.next(line)) {
@@ -250,7 +158,7 @@ Frame parse(const Format& format, std::string_view text, const BlockDecoder& dec
         format.header.starts_with(line.keyword())) {
       return frame;
     }
-    fail(format, line.number, "missing " + std::string(format.header) + " header");
+    text::fail(format.name, line.number, "missing " + std::string(format.header) + " header");
   }
   if (!line.terminated) {
     return frame;
@@ -280,7 +188,7 @@ Frame parse(const Format& format, std::string_view text, const BlockDecoder& dec
     if (!end.terminated) {
       break;  // the terminator itself is torn
     }
-    std::string kind;
+    std::string_view kind;
     std::uint64_t id = 0;
     try {
       BlockReader reader(format, block, 0, block.size() - 1);
@@ -293,8 +201,9 @@ Frame parse(const Format& format, std::string_view text, const BlockDecoder& dec
       }
       throw;  // corruption before the last complete block
     }
-    if (format.sequential_ids && id != next_id[kind]++) {
-      fail(format, end.number, "journal " + kind + "s are not contiguous from 0");
+    if (format.sequential_ids && id != next_id[std::string(kind)]++) {
+      text::fail(format.name, end.number,
+                 "journal " + std::string(kind) + "s are not contiguous from 0");
     }
     frame.valid_bytes = end.end_offset;
     ++frame.blocks;
@@ -303,24 +212,10 @@ Frame parse(const Format& format, std::string_view text, const BlockDecoder& dec
 }
 
 std::string read(const Format& format, const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (!std::filesystem::exists(path)) {
-      return {};  // no journal yet
-    }
-    throw std::runtime_error("cannot open " + std::string(format.name) +
-                             " for reading: " + path.string());
+  if (!std::filesystem::exists(path)) {
+    return {};  // no journal yet
   }
-  // One allocation of the file's size: the text is the only whole-file copy.
-  std::error_code size_error;
-  const auto size = std::filesystem::file_size(path, size_error);
-  std::string text(size_error ? 0 : static_cast<std::size_t>(size), '\0');
-  in.read(text.data(), static_cast<std::streamsize>(text.size()));
-  if (in.bad()) {
-    throw std::runtime_error("cannot read " + std::string(format.name) + ": " + path.string());
-  }
-  text.resize(static_cast<std::size_t>(in.gcount()));
-  return text;
+  return text::read_file(path, format.name);
 }
 
 Writer::Writer(const Format& format, const std::filesystem::path& path,

@@ -1,9 +1,9 @@
 // The shared substrate of the append-only text journals: the campaign
 // journal (platform/journal.hpp, mcs-journal-v1) and the service journal
-// (service/journal.hpp, mcs-service-journal-v1). This module owns the line
-// scanner, the token parsers, the block framing with its torn-tail rule, the
-// append writer and the resume step; each journal keeps only its record
-// codecs and its fingerprint.
+// (service/journal.hpp, mcs-service-journal-v1). This module owns the block
+// framing with its torn-tail rule, the append writer and the resume step; it
+// scans, parses numbers and encodes doubles through common/text.hpp, and each
+// journal keeps only its record codecs and its fingerprint.
 //
 // A journal file is
 //
@@ -13,12 +13,11 @@
 //     ...                      #   the lines between `begin` and `end`
 //     end <kind> <id>
 //
-// '#' starts a comment and blank lines are ignored, except that the `config`
-// and `error` directives take the raw remainder of their line (captured text
-// may contain '#'); writers flatten newlines in that text to spaces, so a
-// block can never be torn open by the message it carries. Doubles are
-// written with format_double, which round-trips every double exactly, so a
-// replayed record is bit-identical to the one appended.
+// Lines follow common/text.hpp's scanner rules, so `config` and `error` keep
+// the raw remainder of their line; writers flatten newlines in that text to
+// spaces, so a block can never be torn open by the message it carries.
+// Doubles are written with text::format_double, which round-trips every
+// double exactly, so a replayed record is bit-identical to the one appended.
 //
 // Torn tails. Every append is one flushed write, so a crash can only leave
 // a torn suffix. The framing reads the text as follows:
@@ -46,7 +45,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -56,17 +54,9 @@
 #include <vector>
 
 #include "common/fault_injection.hpp"
+#include "common/text.hpp"
 
 namespace mcs::common::journal {
-
-/// `value` printed as "%.17g": 17 significant digits, which parse back to
-/// the same double ("inf", "-inf" and "nan" for the non-finite values).
-/// Inline: the encoders call it once per double of every appended block.
-inline std::string format_double(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 /// `text` with every '\n' and '\r' replaced by a space.
 std::string flatten_newlines(std::string text);
@@ -79,24 +69,7 @@ struct Format {
   bool sequential_ids = false;
 };
 
-/// One meaningful line (not blank, not a comment).
-struct Line {
-  std::size_t number = 0;  ///< 1-based line number in the file
-  /// Whitespace-split fields with any '#' comment removed; for the `config`
-  /// and `error` directives only the keyword.
-  std::vector<std::string> tokens;
-  std::string raw_text;  ///< the rest of a `config`/`error` line, verbatim
-  /// Byte offset just past this line's '\n'; truncating to it keeps the line.
-  std::size_t end_offset = 0;
-  /// False when the line is the file's last and lacks its '\n' (a torn
-  /// write): such a line never completes a block.
-  bool terminated = false;
-
-  const std::string& keyword() const { return tokens.front(); }
-};
-
-/// Splits `text` into its meaningful lines.
-std::vector<Line> scan_lines(std::string_view text);
+using text::Line;
 
 /// A cursor over the body of one complete block — the lines strictly between
 /// its `begin <kind> <id>` and `end <kind> <id>` — plus the token parsers a
@@ -107,7 +80,7 @@ class BlockReader {
               std::size_t end);
 
   const Line& begin_line() const { return lines_[begin_]; }
-  const std::string& kind() const { return begin_line().tokens[1]; }
+  std::string_view kind() const { return begin_line().tokens[1]; }
   std::uint64_t id() const { return id_; }
 
   bool at_end() const { return next_ == end_; }
@@ -137,7 +110,9 @@ class BlockReader {
 
  private:
   /// Token `k` of `line`, which must exist.
-  const std::string& token(const Line& line, std::size_t k) const;
+  std::string_view token(const Line& line, std::size_t k) const;
+  /// "'end <kind> <id>'", the line that closes this block.
+  std::string end_line() const;
 
   const Format& format_;
   const std::vector<Line>& lines_;
@@ -168,9 +143,8 @@ using BlockDecoder = std::function<void(BlockReader&)>;
 /// only the block being decoded.
 Frame parse(const Format& format, std::string_view text, const BlockDecoder& decode);
 
-/// The text of the journal file at `path`, read into one string of the
-/// file's size; empty when there is no file (the journal has not started).
-/// Other I/O failures throw std::runtime_error naming the path.
+/// The text of the journal file at `path` (text::read_file); empty when
+/// there is no file (the journal has not started).
 std::string read(const Format& format, const std::filesystem::path& path);
 
 /// Appends blocks to a journal file, starting a missing or empty file with

@@ -21,6 +21,10 @@ double meters_per_deg_lon(double lat_deg) {
 }
 }  // namespace
 
+bool within_wgs84(const LatLon& p) {
+  return p.lat >= -90.0 && p.lat <= 90.0 && p.lon >= -180.0 && p.lon <= 180.0;
+}
+
 double distance_m(const LatLon& a, const LatLon& b) {
   const double lat1 = deg_to_rad(a.lat);
   const double lat2 = deg_to_rad(b.lat);
@@ -62,11 +66,12 @@ GridMap::GridMap(BoundingBox box, double cell_side_m) : box_(box), cell_side_m_(
 }
 
 CellId GridMap::cell_of(const LatLon& p) const {
-  auto row = static_cast<std::int32_t>(std::floor((p.lat - box_.south_west.lat) / lat_step_));
-  auto col = static_cast<std::int32_t>(std::floor((p.lon - box_.south_west.lon) / lon_step_));
-  row = std::clamp(row, 0, rows_ - 1);
-  col = std::clamp(col, 0, cols_ - 1);
-  return cell_at(row, col);
+  MCS_EXPECTS(std::isfinite(p.lat) && std::isfinite(p.lon), "cell_of needs finite coordinates");
+  // Clamp in double: a far-away point's cell index need not fit an int32.
+  const double row = std::floor((p.lat - box_.south_west.lat) / lat_step_);
+  const double col = std::floor((p.lon - box_.south_west.lon) / lon_step_);
+  return cell_at(static_cast<std::int32_t>(std::clamp(row, 0.0, rows_ - 1.0)),
+                 static_cast<std::int32_t>(std::clamp(col, 0.0, cols_ - 1.0)));
 }
 
 LatLon GridMap::center_of(CellId cell) const {

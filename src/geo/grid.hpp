@@ -16,6 +16,10 @@ struct LatLon {
   friend bool operator==(const LatLon&, const LatLon&) = default;
 };
 
+/// Whether `p` is a WGS-84 coordinate: latitude in [-90, 90] and longitude
+/// in [-180, 180]. False for NaN and the infinities.
+bool within_wgs84(const LatLon& p);
+
 /// Great-circle distance in meters (haversine).
 double distance_m(const LatLon& a, const LatLon& b);
 
@@ -54,6 +58,7 @@ class GridMap {
   double lat_step_deg() const { return lat_step_; }
   double lon_step_deg() const { return lon_step_; }
 
+  /// The cell holding `p`, clamped to the grid. Requires finite coordinates.
   CellId cell_of(const LatLon& p) const;
   /// Geographic center of a cell; requires a valid id.
   LatLon center_of(CellId cell) const;

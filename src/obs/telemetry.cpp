@@ -1,9 +1,9 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <stdexcept>
+
+#include "common/text.hpp"
 
 namespace mcs::obs {
 
@@ -16,33 +16,21 @@ std::atomic<bool> g_enabled{false};
 // the dead registry's shard when a new Registry reuses the address.
 std::atomic<std::uint64_t> g_next_registry_id{1};
 
-void append_json_number(std::string& out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
-}
-
-void append_json_number(std::string& out, std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%" PRIu64, value);
-  out += buffer;
-}
-
 void append_phase_json(std::string& out, const PhaseCounters& phase) {
   out += "{\"probes\":";
-  append_json_number(out, phase.probes);
+  out += std::to_string(phase.probes);
   out += ",\"deadline_polls\":";
-  append_json_number(out, phase.deadline_polls);
+  out += std::to_string(phase.deadline_polls);
   out += ",\"rounds\":";
-  append_json_number(out, phase.rounds);
+  out += std::to_string(phase.rounds);
   out += ",\"heap_reevaluations\":";
-  append_json_number(out, phase.heap_reevaluations);
+  out += std::to_string(phase.heap_reevaluations);
   out += ",\"bisection_steps\":";
-  append_json_number(out, phase.bisection_steps);
+  out += std::to_string(phase.bisection_steps);
   out += ",\"dp_reuse_hits\":";
-  append_json_number(out, phase.dp_reuse_hits);
+  out += std::to_string(phase.dp_reuse_hits);
   out += ",\"dp_reuse_fallbacks\":";
-  append_json_number(out, phase.dp_reuse_fallbacks);
+  out += std::to_string(phase.dp_reuse_fallbacks);
   out += "}";
 }
 
@@ -92,11 +80,11 @@ std::string to_json(const MechanismTelemetry& telemetry) {
   out += "{\"enabled\":";
   out += telemetry.enabled ? "true" : "false";
   out += ",\"winner_determination_seconds\":";
-  append_json_number(out, telemetry.winner_determination_seconds);
+  out += common::text::format_double(telemetry.winner_determination_seconds);
   out += ",\"rewards_seconds\":";
-  append_json_number(out, telemetry.rewards_seconds);
+  out += common::text::format_double(telemetry.rewards_seconds);
   out += ",\"degraded_events\":";
-  append_json_number(out, telemetry.degraded_events);
+  out += std::to_string(telemetry.degraded_events);
   out += ",\"winner_determination\":";
   append_phase_json(out, telemetry.winner_determination);
   out += ",\"rewards\":";
@@ -178,9 +166,7 @@ std::string Registry::Snapshot::to_json() const {
     out += "\"";
     out += name;  // metric names are identifier-like; no escaping needed
     out += "\":";
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%" PRId64, value);
-    out += buffer;
+    out += std::to_string(value);
   }
   out += "}";
   return out;

@@ -8,12 +8,12 @@ namespace mcs::platform {
 namespace {
 
 using common::journal::BlockReader;
-using common::journal::format_double;
+using common::text::format_double;
 using common::journal::Line;
 
 std::size_t parse_size_directive(const BlockReader& block, const Line& line) {
   if (line.tokens.size() != 2) {
-    block.fail(line, "expected '" + line.keyword() + " <count>'");
+    block.fail(line, "expected '" + std::string(line.keyword()) + " <count>'");
   }
   return block.to_u64(line, 1);
 }
@@ -32,7 +32,7 @@ JournalEntry parse_entry(BlockReader& block) {
   bool have_reputation = false;
   while (!block.at_end()) {
     const auto& line = block.next();
-    const auto& keyword = line.keyword();
+    const std::string_view keyword = line.keyword();
     if (keyword == "held") {
       entry.report.held = block.flag(line);
     } else if (keyword == "degraded") {
@@ -101,7 +101,7 @@ JournalEntry parse_entry(BlockReader& block) {
       record.realized_successes = block.to_u64(line, 5);
       entry.reputation.emplace_back(taxi, record);
     } else {
-      block.fail(line, "unknown directive '" + keyword + "'");
+      block.fail(line, "unknown directive '" + std::string(keyword) + "'");
     }
   }
   if (!have_positions || !have_rng || !have_reputation) {

@@ -8,7 +8,7 @@ namespace {
 
 using common::journal::BlockReader;
 using common::journal::flatten_newlines;
-using common::journal::format_double;
+using common::text::format_double;
 using common::journal::Line;
 
 auction::AuctionStatus parse_status(BlockReader& block) {
@@ -23,7 +23,7 @@ auction::AuctionStatus parse_status(BlockReader& block) {
       return status;
     }
   }
-  block.fail(line, "unknown status '" + line.tokens[1] + "'");
+  block.fail(line, "unknown status '" + std::string(line.tokens[1]) + "'");
 }
 
 /// The optional `error <raw text>` line that closes both record kinds.
@@ -31,7 +31,7 @@ std::string parse_error(BlockReader& block) {
   if (block.at_end() || block.peek().keyword() != "error") {
     return {};
   }
-  return block.next().raw_text;
+  return std::string(block.next().raw_text);
 }
 
 /// Parses one `round` block's body.
@@ -102,7 +102,7 @@ ServiceEpochRecord parse_epoch(BlockReader& block) {
     } else if (line.tokens[3] == "accept") {
       decision.phase = auction::online::ArrivalPhase::kAccept;
     } else {
-      block.fail(line, "unknown arrival phase '" + line.tokens[3] + "'");
+      block.fail(line, "unknown arrival phase '" + std::string(line.tokens[3]) + "'");
     }
     decision.stage = block.to_u64(line, 4);
     if (line.tokens[5] != "0" && line.tokens[5] != "1") {

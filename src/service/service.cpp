@@ -14,7 +14,7 @@ namespace mcs::service {
 
 namespace {
 
-using common::journal::format_double;
+using common::text::format_double;
 
 /// The service's metrics, one per event, numbered in registration order (a
 /// fresh registry gives metric k the id k). The first fifteen are

@@ -269,7 +269,13 @@ MappedTraceDataset::MappedTraceDataset(const std::string& path) {
     kinds_ = reinterpret_cast<const std::uint8_t*>(base_ + layout.kinds);
     index_taxi_ = reinterpret_cast<const TaxiId*>(base_ + layout.index_taxi);
     index_begin_ = reinterpret_cast<const std::uint64_t*>(base_ + layout.index_begin);
-    MCS_EXPECTS(index_begin_[num_taxis_] == num_events_, "corrupt range index in " + path);
+    // The index bounds every lane read: ids ascending, ranges tiling [0, n).
+    bool index_ok = index_begin_[0] == 0 && index_begin_[num_taxis_] == num_events_;
+    for (std::size_t k = 0; index_ok && k < num_taxis_; ++k) {
+      index_ok = index_begin_[k] < index_begin_[k + 1] &&
+                 (k == 0 || index_taxi_[k - 1] < index_taxi_[k]);
+    }
+    MCS_EXPECTS(index_ok, "corrupt range index in " + path);
   } catch (...) {
     release();
     throw;

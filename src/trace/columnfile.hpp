@@ -55,14 +55,15 @@ void write_trace_columns(const TraceDataset& dataset, const std::string& path);
 
 /// Read-only, mmap-backed view of a column file. Column accessors return
 /// spans that alias the mapping (valid for the lifetime of this object);
-/// nothing is deserialized up front, so opening a multi-gigabyte trace costs
-/// one page of I/O. Falls back to a heap read of the whole file on platforms
-/// without mmap. Move-only.
+/// nothing is deserialized up front, so opening a multi-gigabyte trace reads
+/// only the header and the per-taxi index. Falls back to a heap read of the
+/// whole file on platforms without mmap. Move-only.
 class MappedTraceDataset {
  public:
   /// Opens and validates `path`. Throws common::PreconditionError when the
-  /// file is missing, truncated, or carries a foreign magic / version /
-  /// endianness.
+  /// file is missing, truncated, carries a foreign magic / version /
+  /// endianness, or has an index whose taxi ids do not ascend or whose row
+  /// ranges do not tile the rows.
   explicit MappedTraceDataset(const std::string& path);
   ~MappedTraceDataset();
 

@@ -1,28 +1,12 @@
 #include "trace/import.hpp"
 
-#include <charconv>
-#include <optional>
-
 #include "common/check.hpp"
 #include "common/csv.hpp"
+#include "common/text.hpp"
 
 namespace mcs::trace {
 
-namespace {
-
-template <typename T>
-std::optional<T> parse_number(const std::string& text) {
-  T value{};
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-}  // namespace
+using common::text::parse_number;
 
 ImportResult import_trace_csv(const std::string& text, const ImportSpec& spec) {
   const auto table = common::parse_csv(text);
@@ -57,7 +41,7 @@ ImportResult import_trace_csv(const std::string& text, const ImportSpec& spec) {
       reject("malformed number");
       continue;
     }
-    if (*lat < -90.0 || *lat > 90.0 || *lon < -180.0 || *lon > 180.0) {
+    if (!geo::within_wgs84({*lat, *lon})) {
       reject("coordinates out of range");
       continue;
     }

@@ -1,12 +1,10 @@
 #include "trace/io.hpp"
 
-#include <charconv>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "common/check.hpp"
 #include "common/csv.hpp"
+#include "common/text.hpp"
 
 namespace mcs::trace {
 
@@ -26,14 +24,13 @@ EventKind kind_from_name(const std::string& name) {
   throw common::PreconditionError("unknown trace event kind: " + name);
 }
 
+constexpr const char* kFileKind = "trace file";
+
 template <typename T>
 T parse_number(const std::string& text) {
-  T value{};
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  MCS_EXPECTS(ec == std::errc() && ptr == end, "malformed number in trace CSV: " + text);
-  return value;
+  const auto value = common::text::parse_number<T>(text);
+  MCS_EXPECTS(value.has_value(), "malformed number in trace CSV: " + text);
+  return *value;
 }
 
 std::string format_double(double value) {
@@ -72,29 +69,18 @@ TraceDataset from_csv(const std::string& text) {
     events.push_back({parse_number<TaxiId>(row[taxi_col]), parse_number<Timestamp>(row[time_col]),
                       {parse_number<double>(row[lat_col]), parse_number<double>(row[lon_col])},
                       kind_from_name(row[kind_col])});
+    MCS_EXPECTS(geo::within_wgs84(events.back().location),
+                "coordinates out of range in trace CSV: " + row[lat_col] + "," + row[lon_col]);
   }
   return TraceDataset(std::move(events));
 }
 
 void save_csv(const std::filesystem::path& path, const TraceDataset& dataset) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("cannot open trace file for writing: " + path.string());
-  }
-  out << to_csv(dataset);
-  if (!out) {
-    throw std::runtime_error("failed writing trace file: " + path.string());
-  }
+  common::text::write_file(path, to_csv(dataset), kFileKind);
 }
 
 TraceDataset load_csv(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open trace file for reading: " + path.string());
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return from_csv(buffer.str());
+  return from_csv(common::text::read_file(path, kFileKind));
 }
 
 }  // namespace mcs::trace

@@ -13,7 +13,8 @@ namespace mcs::trace {
 std::string to_csv(const TraceDataset& dataset);
 
 /// Parses a dataset from CSV produced by to_csv. Throws PreconditionError on
-/// malformed rows (bad numbers, unknown kind).
+/// malformed rows (bad numbers, unknown kind, coordinates that are not finite
+/// WGS-84 degrees).
 TraceDataset from_csv(const std::string& text);
 
 /// File convenience wrappers; throw std::runtime_error on I/O failure.

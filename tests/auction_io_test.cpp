@@ -227,5 +227,101 @@ TEST(DetectInstanceKind, RecognizesHeaders) {
   EXPECT_EQ(detect_instance_kind(""), "");
 }
 
+// ---------------------------------------------------------------------------
+// Golden bytes and error texts. Saved instance files must keep loading and
+// diffing cleanly, so the exact text the writers emit and the exact
+// diagnostics the readers raise are the contract, not just the round trip.
+// ---------------------------------------------------------------------------
+
+TEST(InstanceTextGolden, SingleTaskBytes) {
+  SingleTaskInstance instance;
+  instance.requirement_pos = 0.9;
+  instance.bids = {{3.0, 0.7}, {0.1 + 0.2, 0.5}};
+  EXPECT_EQ(to_text(instance),
+            "mcs-single-task-v1\n"
+            "requirement 0.90000000000000002\n"
+            "user 3 0.69999999999999996\n"
+            "user 0.30000000000000004 0.5\n");
+}
+
+TEST(InstanceTextGolden, MultiTaskBytes) {
+  MultiTaskInstance instance;
+  instance.requirement_pos = {0.8, 0.25};
+  instance.users.push_back({{0, 1}, {0.3, 0.25}, 0.1 + 0.2});
+  instance.users.push_back({{1}, {1e-300}, 5.0});
+  EXPECT_EQ(to_text(instance),
+            "mcs-multi-task-v1\n"
+            "tasks 2\n"
+            "requirement 0 0.80000000000000004\n"
+            "requirement 1 0.25\n"
+            "user 0.30000000000000004 2 0:0.29999999999999999 1:0.25\n"
+            "user 5 1 1:1e-300\n");
+}
+
+/// The full message `parse(text)` throws; "" when it does not throw.
+template <typename Parser>
+std::string error_text(Parser parse, const std::string& text) {
+  try {
+    parse(text);
+  } catch (const common::PreconditionError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(InstanceTextGolden, SingleTaskErrorTexts) {
+  const auto parse = [](const std::string& text) { return single_task_from_text(text); };
+  EXPECT_EQ(error_text(parse, ""), "instance text, line 1: missing mcs-single-task-v1 header");
+  EXPECT_EQ(error_text(parse, "mcs-single-task-v1\nrequirement 0.5\nuser one 0.5\n"),
+            "instance text, line 3: malformed number 'one'");
+  EXPECT_EQ(error_text(parse, "mcs-single-task-v1\nrequirement 0.5\nuser inf 0.5\n"),
+            "instance text, line 3: non-finite number 'inf'");
+  EXPECT_EQ(error_text(parse, "mcs-single-task-v1\nrequirement 0.5\nbogus 1 2\n"),
+            "instance text, line 3: unknown directive 'bogus'");
+  // Comments, blank lines and CRLF endings count toward the line number.
+  EXPECT_EQ(error_text(parse,
+                       "# header next\n\nmcs-single-task-v1\r\nrequirement 0.5 # x\r\n \t\n"
+                       "user 1e999 0.5\n"),
+            "instance text, line 6: malformed number '1e999'");
+  EXPECT_EQ(error_text(parse, "mcs-single-task-v1\nrequirement 0.5\nuser 2#3 0.5\n"),
+            "instance text, line 3: expected 'user <cost> <pos>'");
+  EXPECT_EQ(error_text(parse, "mcs-single-task-v1\nrequirement 0.5\nerror # 1 2\n"),
+            "instance text, line 3: unknown directive 'error'");
+}
+
+TEST(InstanceTextGolden, MultiTaskErrorTexts) {
+  const auto parse = [](const std::string& text) { return multi_task_from_text(text); };
+  EXPECT_EQ(error_text(parse, "mcs-multi-task-v1\ntasks x\n"),
+            "instance text, line 2: malformed count 'x'");
+  EXPECT_EQ(error_text(parse, "mcs-multi-task-v1\ntasks 2\nrequirement 5 0.5\n"),
+            "instance text, line 3: task index out of range");
+  EXPECT_EQ(error_text(parse, "mcs-multi-task-v1\ntasks 1\nrequirement 0 0.5\nuser 1 1 5:0.3\n"),
+            "instance text, line 4: task index out of range in '5:0.3'");
+  EXPECT_EQ(error_text(parse, "mcs-multi-task-v1\ntasks 1\nrequirement 0 0.5\nuser 1 1 x:0.3\n"),
+            "instance text, line 4: malformed count 'x'");
+  EXPECT_EQ(error_text(parse, "mcs-multi-task-v1\ntasks 1\nrequirement 0 nan\n"),
+            "instance text, line 3: non-finite number 'nan'");
+  EXPECT_EQ(error_text(parse, "mcs-multi-task-v1\ntasks 1\nconfig 0 0.5\n"),
+            "instance text, line 3: unknown directive 'config'");
+}
+
+TEST(InstanceTextGolden, FileErrorTexts) {
+  const std::filesystem::path missing = "/nonexistent-dir/mcs-io.txt";
+  try {
+    load_single_task(missing);
+    FAIL() << "expected an I/O error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "cannot open instance file for reading: /nonexistent-dir/mcs-io.txt");
+  }
+  try {
+    save_multi_task(missing, test::random_multi_task(4, 2, 0.5, 3));
+    FAIL() << "expected an I/O error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "cannot open instance file for writing: /nonexistent-dir/mcs-io.txt");
+  }
+}
+
 }  // namespace
 }  // namespace mcs::auction

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/text.hpp"
 #include "platform/journal.hpp"
 #include "service/journal.hpp"
 #include "service/service.hpp"
@@ -29,6 +30,7 @@
 namespace {
 
 namespace journal = mcs::common::journal;
+namespace text = mcs::common::text;
 using mcs::common::PreconditionError;
 
 // ---------------------------------------------------------------------------
@@ -338,11 +340,11 @@ TEST(JournalSubstrate, FormatDoubleIsPrintf17g) {
                           std::numeric_limits<double>::quiet_NaN(),
                           0.1 + 0.2};
   for (const double value : cases) {
-    EXPECT_EQ(journal::format_double(value), snprintf_17g(value)) << value;
+    EXPECT_EQ(text::format_double(value), snprintf_17g(value)) << value;
   }
-  EXPECT_EQ(journal::format_double(-0.0), "-0");
-  EXPECT_EQ(journal::format_double(std::numeric_limits<double>::infinity()), "inf");
-  EXPECT_EQ(journal::format_double(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(text::format_double(-0.0), "-0");
+  EXPECT_EQ(text::format_double(std::numeric_limits<double>::infinity()), "inf");
+  EXPECT_EQ(text::format_double(0.1 + 0.2), "0.30000000000000004");
 }
 
 TEST(JournalSubstrate, FlattenNewlinesReplacesEveryLineBreak) {
@@ -359,17 +361,17 @@ TEST(JournalSubstrate, ScannerSplitsMeaningfulLines) {
       "\v\f\n"
       "error   raw # text\n"
       "end round 7";
-  const auto lines = journal::scan_lines(text);
+  const auto lines = mcs::common::text::scan_lines(text);
   ASSERT_EQ(lines.size(), 4u);
 
   EXPECT_EQ(lines[0].number, 4u);
-  EXPECT_EQ(lines[0].tokens, std::vector<std::string>{"config"});
+  EXPECT_EQ(lines[0].tokens, std::vector<std::string_view>{"config"});
   EXPECT_EQ(lines[0].raw_text, "a=1 # not a comment");
   EXPECT_TRUE(lines[0].terminated);
   EXPECT_EQ(lines[0].end_offset, text.find("begin"));
 
   EXPECT_EQ(lines[1].number, 5u);
-  EXPECT_EQ(lines[1].tokens, (std::vector<std::string>{"begin", "round", "7"}));
+  EXPECT_EQ(lines[1].tokens, (std::vector<std::string_view>{"begin", "round", "7"}));
   EXPECT_TRUE(lines[1].raw_text.empty());
 
   EXPECT_EQ(lines[2].number, 7u);
@@ -377,7 +379,7 @@ TEST(JournalSubstrate, ScannerSplitsMeaningfulLines) {
   EXPECT_EQ(lines[2].raw_text, "raw # text");
 
   EXPECT_EQ(lines[3].number, 8u);
-  EXPECT_EQ(lines[3].tokens, (std::vector<std::string>{"end", "round", "7"}));
+  EXPECT_EQ(lines[3].tokens, (std::vector<std::string_view>{"end", "round", "7"}));
   EXPECT_FALSE(lines[3].terminated);
   EXPECT_EQ(lines[3].end_offset, text.size());
 }

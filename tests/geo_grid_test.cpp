@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/check.hpp"
 
 namespace mcs::geo {
@@ -128,6 +130,29 @@ TEST(GridConstruction, CellSideControlsResolution) {
   const GridMap coarse(box, 10000.0);
   const GridMap fine(box, 1000.0);
   EXPECT_GT(fine.cell_count(), coarse.cell_count() * 50);
+}
+
+TEST_F(GridFixture, NonFiniteCoordinatesThrowAndFarPointsClampInDouble) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(grid_.cell_of({nan, 121.5}), common::PreconditionError);
+  EXPECT_THROW(grid_.cell_of({31.2, nan}), common::PreconditionError);
+  EXPECT_THROW(grid_.cell_of({inf, 121.5}), common::PreconditionError);
+  EXPECT_THROW(grid_.cell_of({31.2, -inf}), common::PreconditionError);
+  // Cell indices far outside int32 clamp to the boundary before any cast.
+  EXPECT_EQ(grid_.cell_of({1e300, 1e300}), grid_.cell_at(grid_.rows() - 1, grid_.cols() - 1));
+  EXPECT_EQ(grid_.cell_of({-1e300, -std::numeric_limits<double>::max()}), grid_.cell_at(0, 0));
+  EXPECT_EQ(grid_.cell_of({31.2, 1e12}), grid_.cell_of({31.2, grid_.box().north_east.lon}));
+}
+
+TEST(Wgs84Range, RejectsNonFiniteAndOutOfRangeCoordinates) {
+  EXPECT_TRUE(within_wgs84({90.0, -180.0}));
+  EXPECT_TRUE(within_wgs84({-90.0, 180.0}));
+  EXPECT_FALSE(within_wgs84({90.5, 0.0}));
+  EXPECT_FALSE(within_wgs84({0.0, -180.5}));
+  EXPECT_FALSE(within_wgs84({std::numeric_limits<double>::quiet_NaN(), 0.0}));
+  EXPECT_FALSE(within_wgs84({0.0, std::numeric_limits<double>::quiet_NaN()}));
+  EXPECT_FALSE(within_wgs84({std::numeric_limits<double>::infinity(), 0.0}));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 //   * a flipped byte either lands in the dropped tail (parse succeeds with a
 //     valid prefix) or is corruption before the last complete block (parse
 //     throws PreconditionError) — never a silent wrong record set.
+// The mutation drivers are fuzz_drivers.hpp's, shared with input_fuzz_test.
 #include <cstddef>
 #include <limits>
 #include <string>
@@ -15,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
+#include "fuzz_drivers.hpp"
 #include "platform/journal.hpp"
 #include "service/journal.hpp"
 
@@ -236,13 +237,12 @@ void fuzz_truncation(const std::string& intact, std::size_t blocks = 4) {
   ASSERT_EQ(full.valid_bytes, intact.size()) << Format::kName;
 
   std::size_t previous_records = 0;
-  for (std::size_t cut = 0; cut <= intact.size(); ++cut) {
-    const std::string label =
-        std::string(Format::kName) + " truncated at byte " + std::to_string(cut);
+  mcs::test::for_each_truncation(intact, Format::kName, [&](const std::string& prefix,
+                                                            const std::string& label) {
     typename Format::Parsed parsed;
-    ASSERT_NO_THROW(parsed = Format::parse(intact.substr(0, cut))) << label;
+    ASSERT_NO_THROW(parsed = Format::parse(prefix)) << label;
     expect_contiguous_prefix<Format>(parsed, full, label);
-    EXPECT_LE(parsed.valid_bytes, cut) << label;
+    EXPECT_LE(parsed.valid_bytes, prefix.size()) << label;
     // More bytes can only reveal more complete blocks, never fewer.
     EXPECT_GE(parsed.rounds.size() + parsed.epochs.size(), previous_records) << label;
     previous_records = parsed.rounds.size() + parsed.epochs.size();
@@ -253,7 +253,7 @@ void fuzz_truncation(const std::string& intact, std::size_t blocks = 4) {
     EXPECT_EQ(reparsed.rounds, parsed.rounds) << label;
     EXPECT_EQ(reparsed.epochs, parsed.epochs) << label;
     EXPECT_EQ(reparsed.valid_bytes, parsed.valid_bytes) << label;
-  }
+  });
   EXPECT_EQ(previous_records, blocks) << Format::kName;
 }
 
@@ -265,16 +265,8 @@ void fuzz_truncation(const std::string& intact, std::size_t blocks = 4) {
 template <typename Format>
 void fuzz_byte_flips(const std::string& intact) {
   const auto full = Format::parse(intact);
-  mcs::common::Rng rng(20260808);
-  for (std::size_t position = 0; position < intact.size(); ++position) {
-    std::string mutated = intact;
-    const auto flip = static_cast<unsigned char>(
-        rng.uniform_int(1, 255));  // never a zero flip: always a real change
-    mutated[position] = static_cast<char>(
-        static_cast<unsigned char>(mutated[position]) ^ flip);
-    const std::string label = std::string(Format::kName) + " byte " +
-                              std::to_string(position) + " xor " +
-                              std::to_string(flip);
+  mcs::test::for_each_byte_flip(intact, Format::kName, 20260808, [&](const std::string& mutated,
+                                                                     const std::string& label) {
     try {
       const auto parsed = Format::parse(mutated);
       expect_contiguous_prefix<Format>(parsed, full, label);
@@ -287,7 +279,7 @@ void fuzz_byte_flips(const std::string& intact) {
       // Detected corruption before the last complete block — the contract's
       // loud path.
     }
-  }
+  });
 }
 
 TEST(JournalFuzz, PlatformTruncationAlwaysRecoversAPrefix) {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -270,6 +271,48 @@ TEST_F(TraceColumnFile, OpenFailuresNameThePath) {
     const std::string what = e.what();
     EXPECT_NE(what.find(path_), std::string::npos) << what;
     EXPECT_NE(what.find("8"), std::string::npos) << what;
+  }
+}
+
+TEST_F(TraceColumnFile, CorruptIndexIsRejectedAtOpen) {
+  // The index bounds every lane read: a row range past the last row, or
+  // taxi ids out of order, must fail at open rather than on a later read.
+  // small_dataset() has 3 taxis; the index ends the file with their ids
+  // (12 bytes, padded to 16) and then 4 row starts {0, 2, 4, 5}.
+  write_trace_columns(small_dataset(), path_);
+  const auto size = static_cast<std::streamoff>(std::filesystem::file_size(path_));
+  const std::streamoff ids_at = size - 16 - 4 * 8;
+  const std::streamoff begins_at = size - 4 * 8;
+  auto overwrite = [&](std::streamoff offset, const void* bytes, std::size_t count) {
+    std::fstream file(path_, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(offset);
+    file.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(count));
+  };
+  const std::uint64_t past_the_end = 1000;
+  overwrite(begins_at + 8, &past_the_end, sizeof(past_the_end));
+  EXPECT_THROW(MappedTraceDataset{path_}, common::PreconditionError);
+  const std::uint64_t two = 2;
+  overwrite(begins_at + 8, &two, sizeof(two));
+  EXPECT_NO_THROW(MappedTraceDataset{path_});
+
+  const TaxiId descending[3] = {9, 5, 1};
+  overwrite(ids_at, descending, sizeof(descending));
+  EXPECT_THROW(MappedTraceDataset{path_}, common::PreconditionError);
+}
+
+TEST_F(TraceColumnFile, NonFiniteLaneValuesThrowInsteadOfReachingTheCast) {
+  // TraceDataset takes events as given; a column file can therefore carry a
+  // NaN or infinite coordinate, and both cell_sequence twins must refuse it.
+  TraceDataset dataset;
+  dataset.add({1, 10, {31.2, 121.5}, EventKind::kPickup});
+  dataset.add({1, 20, {std::numeric_limits<double>::quiet_NaN(), 121.5}, EventKind::kDropoff});
+  dataset.add({2, 30, {31.2, std::numeric_limits<double>::infinity()}, EventKind::kPickup});
+  write_trace_columns(dataset, path_);
+  const MappedTraceDataset mapped(path_);
+  const geo::GridMap grid(geo::shanghai_bounding_box(), 2000.0);
+  for (const TaxiId taxi : {1, 2}) {
+    EXPECT_THROW(mapped.cell_sequence(taxi, grid), common::PreconditionError) << taxi;
+    EXPECT_THROW(dataset.cell_sequence(taxi, grid), common::PreconditionError) << taxi;
   }
 }
 

@@ -92,5 +92,30 @@ TEST(TraceImport, EmptyInputYieldsEmptyResult) {
   EXPECT_TRUE(result.skipped.empty());
 }
 
+TEST(TraceImport, NonFiniteCoordinatesAreOutOfRange) {
+  const std::string csv =
+      "taxi_id,timestamp,lat,lon,kind\n"
+      "1,100,nan,121.5,pickup\n"
+      "2,100,31.2,inf,pickup\n"
+      "3,100,-nan,-inf,pickup\n"
+      "4,100,31.2,121.5,pickup\n";
+  const auto result = import_trace_csv(csv);
+  ASSERT_EQ(result.dataset.size(), 1u);
+  EXPECT_EQ(result.dataset.all_events()[0].taxi_id, 4);
+  ASSERT_EQ(result.skipped.size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(result.skipped[k].row, k + 1);
+    EXPECT_EQ(result.skipped[k].reason, "coordinates out of range");
+  }
+  ImportSpec strict;
+  strict.skip_malformed = false;
+  try {
+    import_trace_csv(csv, strict);
+    FAIL() << "a NaN latitude must be rejected";
+  } catch (const common::PreconditionError& error) {
+    EXPECT_EQ(std::string(error.what()), "trace import, data row 1: coordinates out of range");
+  }
+}
+
 }  // namespace
 }  // namespace mcs::trace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/csv.hpp"
 #include "trace/generator.hpp"
 
 namespace mcs::trace {
@@ -79,6 +80,88 @@ TEST(TraceIo, FileRoundTrip) {
 
 TEST(TraceIo, MissingFileThrows) {
   EXPECT_THROW(load_csv("/nonexistent/missing_trace.csv"), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes and error texts: the CSV writer's exact output (coordinates
+// in fixed 7-decimal notation, RFC 4180-style quoting) and the reader's
+// diagnostics are what saved traces and their users depend on.
+// ---------------------------------------------------------------------------
+
+TEST(TraceCsvGolden, TraceBytes) {
+  TraceDataset dataset;
+  dataset.add({2, 150, {-33.8688, 151.2093}, EventKind::kPickup});
+  dataset.add({1, 200, {31.3, 121.6}, EventKind::kDropoff});
+  dataset.add({1, 100, {31.23456789, 121.54321}, EventKind::kPickup});
+  EXPECT_EQ(to_csv(dataset),
+            "taxi_id,timestamp,lat,lon,kind\n"
+            "1,100,31.2345679,121.5432100,pickup\n"
+            "1,200,31.3000000,121.6000000,dropoff\n"
+            "2,150,-33.8688000,151.2093000,pickup\n");
+}
+
+TEST(TraceCsvGolden, TableQuoting) {
+  common::CsvTable table;
+  table.header = {"id", "text"};
+  table.rows = {{"1", "plain"},    {"2", "with, comma"}, {"3", "with \"quote\""},
+                {"4", "a\nb"},      {"5", ""},            {"6", "cr\rstays bare"}};
+  EXPECT_EQ(common::to_csv(table),
+            "id,text\n"
+            "1,plain\n"
+            "2,\"with, comma\"\n"
+            "3,\"with \"\"quote\"\"\"\n"
+            "4,\"a\nb\"\n"
+            "5,\n"
+            "6,cr\rstays bare\n");
+}
+
+TEST(TraceCsvGolden, ErrorTexts) {
+  const auto error_text = [](const std::string& text) -> std::string {
+    try {
+      from_csv(text);
+    } catch (const common::PreconditionError& error) {
+      return error.what();
+    }
+    return "";
+  };
+  // MCS_EXPECTS appends the failed check and its source location, so only
+  // the message before that suffix is pinned.
+  const auto message = [](const std::string& what) { return what.substr(0, what.find(" [")); };
+  EXPECT_EQ(message(error_text("taxi_id,timestamp,lat,lon,kind\nabc,100,31.2,121.5,pickup\n")),
+            "precondition violated: malformed number in trace CSV: abc");
+  EXPECT_EQ(message(error_text("taxi_id,timestamp,lat,lon,kind\n1,100,31.2x,121.5,pickup\n")),
+            "precondition violated: malformed number in trace CSV: 31.2x");
+  EXPECT_EQ(message(error_text("taxi_id,timestamp,lat,lon,kind\n1,100,31.2,121.5,teleport\n")),
+            "unknown trace event kind: teleport");
+  try {
+    load_csv("/nonexistent/missing_trace.csv");
+    FAIL() << "expected an I/O error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "cannot open trace file for reading: /nonexistent/missing_trace.csv");
+  }
+}
+
+TEST(TraceIo, RejectsNonFiniteAndOutOfRangeCoordinates) {
+  const auto error_text = [](const std::string& row) -> std::string {
+    try {
+      from_csv("taxi_id,timestamp,lat,lon,kind\n" + row + "\n");
+    } catch (const common::PreconditionError& error) {
+      const std::string what = error.what();
+      return what.substr(0, what.find(" ["));
+    }
+    return "";
+  };
+  EXPECT_EQ(error_text("1,100,nan,121.5,pickup"),
+            "precondition violated: coordinates out of range in trace CSV: nan,121.5");
+  EXPECT_EQ(error_text("1,100,31.2,-inf,pickup"),
+            "precondition violated: coordinates out of range in trace CSV: 31.2,-inf");
+  EXPECT_EQ(error_text("1,100,1e300,121.5,dropoff"),
+            "precondition violated: coordinates out of range in trace CSV: 1e300,121.5");
+  EXPECT_EQ(error_text("1,100,31.2,180.5,pickup"),
+            "precondition violated: coordinates out of range in trace CSV: 31.2,180.5");
+  // The boundary itself is a coordinate.
+  EXPECT_EQ(error_text("1,100,-90,180,pickup"), "");
 }
 
 }  // namespace
