@@ -1,12 +1,12 @@
 // Adversarial & privacy sweep (EXPERIMENTS.md chapter, ROADMAP item 2):
-// drives sim::run_adversarial_sweep across its four attack axes and appends
+// drives harness::run_adversarial_sweep across its four attack axes and appends
 // the machine-readable record to bench/results/adversarial_sweep.json.
 //
 //   1. ε-DP report noising — SP-violation rate, IR-violation rate,
-//      approximation ratio vs brute-force OPT, coverage, and the
+//      approximation ratio vs the exact solvers' OPT, coverage, and the
 //      clean-envelope excess per ε grid point, both mechanism families,
-//      every auction run through BOTH the fast and the oracle
-//      configurations (divergences counted, must be 0).
+//      every auction run through BOTH the production mechanism and
+//      oracle::run_mechanism (divergences counted, must be 0).
 //   2. Correlated cell failures — weather-event schedules vs achieved
 //      coverage, plus the SERVICE leg: the same sim::make_attack_schedule
 //      composed through schedule_fail_at + ShardMap::shard_of into a
@@ -21,7 +21,7 @@
 //      late, final weights, and the tracker's flagged list.
 //
 // Usage: adversarial_sweep [--quick] [--seed SEED] [--out FILE]
-// --quick runs sim::quick_sweep_config() (the same configuration
+// --quick runs harness::quick_sweep_config() (the same configuration
 // tests/perf_smoke_test.cpp gates in-process) plus scaled-down service and
 // reputation legs — a smoke mode, seconds not minutes. The JSON record also
 // goes to stdout and, when MCS_BENCH_JSON names a file, appends there (the
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "common/fault_injection.hpp"
+#include "harness/adversarial_sweep.hpp"
 #include "platform/reputation.hpp"
 #include "service/service.hpp"
 #include "sim/adversary.hpp"
@@ -266,7 +267,8 @@ ReputationLegResult run_reputation_leg(const Options& options) {
 // JSON emission
 // -------------------------------------------------------------------------
 
-void emit_privacy_points(std::ostringstream& json, const std::vector<sim::PrivacyPoint>& points) {
+void emit_privacy_points(std::ostringstream& json,
+                         const std::vector<harness::PrivacyPoint>& points) {
   json << "[";
   for (std::size_t k = 0; k < points.size(); ++k) {
     const auto& p = points[k];
@@ -286,13 +288,13 @@ void emit_privacy_points(std::ostringstream& json, const std::vector<sim::Privac
 }
 
 int run(const Options& options) {
-  auto config = options.quick ? sim::quick_sweep_config() : sim::SweepConfig{};
+  auto config = options.quick ? harness::quick_sweep_config() : harness::SweepConfig{};
   config.seed = options.seed;
   std::cerr << "adversarial sweep: " << (options.quick ? "quick" : "full") << " seed "
             << options.seed << "\n";
 
   const auto start = std::chrono::steady_clock::now();
-  const auto sweep = sim::run_adversarial_sweep(config);
+  const auto sweep = harness::run_adversarial_sweep(config);
   const std::chrono::duration<double> core_elapsed =
       std::chrono::steady_clock::now() - start;
   std::cerr << "core sweep: " << sweep.auctions_run << " auctions in "

@@ -2,11 +2,13 @@
 // optimizations against their retained baselines, on the same shapes the
 // equivalence suites pin bit-identical.
 //
-//  1. DP kernel wall-clock — the single-task mechanism end to end (reward
-//     phase dominated by Algorithm 1 frontier sweeps) and a frontier-only
-//     microbench, DpKernel::kColumns vs kScalarOracle, n up to 400. The
-//     outcomes are asserted bit-identical before any time is reported, so
-//     the speedup is an honest same-answer comparison.
+//  1. DP kernel wall-clock — FPTAS winner determination (one Algorithm 1
+//     sweep per subproblem) and a frontier-only microbench, the production
+//     columns kernel (single_task::solve_fptas, min_knapsack_frontier) vs
+//     the paper-literal scalar kernel of the oracle library
+//     (oracle::solve_fptas, oracle::min_knapsack_frontier), n up to 400.
+//     The allocations are asserted identical before any time is reported,
+//     so the speedup is an honest same-answer comparison.
 //  2. Streaming trace RSS — peak RSS (VmHWM) of "load the CSV into an AoS
 //     TraceDataset, then train the fleet" vs "train straight from the
 //     mmap-backed column file". VmHWM is monotone per process, so each mode
@@ -14,9 +16,9 @@
 //     prepares both files from one generated trace.
 //
 // Usage: memory_scaling [--out FILE]                       orchestrate + JSON
-//        memory_scaling --dp-only columns|oracle [N REPS]  timing loop only
-//                                                          (perf-stat target;
-//                                                          see scripts/
+//        memory_scaling --dp-only columns|oracle [N REPS]  FPTAS timing loop
+//                                                          only (perf-stat
+//                                                          target; see scripts/
 //                                                          perf_cachemiss.sh)
 //        memory_scaling --rss-mode aos|mapped PATH         internal child
 //
@@ -35,10 +37,12 @@
 #include <vector>
 
 #include "auction/single_task/dp_knapsack.hpp"
-#include "auction/single_task/mechanism.hpp"
+#include "auction/single_task/fptas.hpp"
 #include "bench_shapes.hpp"
 #include "common/rng.hpp"
 #include "mobility/predictor.hpp"
+#include "oracle/dp_knapsack.hpp"
+#include "oracle/mechanism.hpp"
 #include "trace/columnfile.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
@@ -46,7 +50,6 @@
 namespace {
 
 using namespace mcs;
-using auction::DpKernel;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
@@ -69,23 +72,29 @@ std::size_t vmhwm_kb() {
   return 0;
 }
 
-auction::MechanismConfig config_for(DpKernel kernel) {
-  auction::MechanismConfig config;
-  config.single_task.epsilon = 0.5;  // the scaling-suite default
-  config.single_task.dp_kernel = kernel;
-  return config;
+/// FPTAS approximation parameter of the winner-determination timing (the
+/// scaling-suite default).
+constexpr double kEpsilon = 0.5;
+
+/// Which Algorithm 1 kernel a timing runs: the production columns kernel or
+/// the oracle library's paper-literal scalar kernel.
+enum class Kernel { kColumns, kScalarOracle };
+
+auction::Allocation solve_fptas_with(Kernel kernel, const auction::SingleTaskInstance& instance) {
+  return kernel == Kernel::kColumns ? auction::single_task::solve_fptas(instance, kEpsilon)
+                                    : oracle::solve_fptas(instance, kEpsilon);
 }
 
-/// Best-of-`reps` wall-clock of the full single-task mechanism (winner
-/// determination + every critical-bid reward) under one kernel.
-double best_mechanism_seconds(const auction::SingleTaskInstance& instance,
-                              const auction::MechanismConfig& config, std::size_t reps) {
+/// Best-of-`reps` wall-clock of FPTAS winner determination (one Algorithm 1
+/// sweep per subproblem) under one kernel.
+double best_fptas_seconds(const auction::SingleTaskInstance& instance, Kernel kernel,
+                          std::size_t reps) {
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const auto start = Clock::now();
-    const auto outcome = auction::single_task::run_mechanism(instance, config);
+    const auto allocation = solve_fptas_with(kernel, instance);
     best = std::min(best, seconds_since(start));
-    if (!outcome.allocation.feasible) {
+    if (!allocation.feasible) {
       std::cerr << "instance must be feasible for the timing to mean anything\n";
       std::exit(1);
     }
@@ -110,13 +119,14 @@ std::vector<auction::single_task::KnapsackItem> frontier_items(std::size_t n,
 /// Best-of-`reps` wall-clock of frontier-only sweeps under one kernel — the
 /// exact call the probe context issues thousands of times per reward phase.
 double best_frontier_seconds(const std::vector<auction::single_task::KnapsackItem>& items,
-                             double requirement, DpKernel kernel, std::size_t reps) {
+                             double requirement, Kernel kernel, std::size_t reps) {
   double best = std::numeric_limits<double>::infinity();
   std::size_t guard = 0;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const auto start = Clock::now();
-    const auto frontier =
-        auction::single_task::min_knapsack_frontier(items, requirement, {}, kernel);
+    const auto frontier = kernel == Kernel::kColumns
+                              ? auction::single_task::min_knapsack_frontier(items, requirement)
+                              : oracle::min_knapsack_frontier(items, requirement);
     best = std::min(best, seconds_since(start));
     guard += frontier.size();
   }
@@ -128,10 +138,9 @@ double best_frontier_seconds(const std::vector<auction::single_task::KnapsackIte
 }
 
 int run_dp_only(const std::string& kernel_name, std::size_t n, std::size_t reps) {
-  const DpKernel kernel =
-      kernel_name == "oracle" ? DpKernel::kScalarOracle : DpKernel::kColumns;
+  const Kernel kernel = kernel_name == "oracle" ? Kernel::kScalarOracle : Kernel::kColumns;
   const auto instance = bench_shapes::single_task_scaling_instance(n, 21);
-  const double seconds = best_mechanism_seconds(instance, config_for(kernel), reps);
+  const double seconds = best_fptas_seconds(instance, kernel, reps);
   std::cout << "kernel=" << kernel_name << " n=" << n << " best_ms=" << seconds * 1e3 << "\n";
   return 0;
 }
@@ -187,52 +196,50 @@ int run(const char* argv0, const std::string& out) {
   std::ostringstream json;
   json << "{\"bench\":\"memory_scaling\",\"epsilon\":0.5,\"seed\":21";
 
-  // --- 1. DP kernel: end-to-end mechanism + frontier-only microbench. ---
+  // --- 1. DP kernel: FPTAS winner determination + frontier-only microbench. ---
   std::cerr << "dp kernel sweep (columns vs scalar oracle):\n";
   json << ",\"dp_kernel\":[";
   double largest_n_speedup = 0.0;
   const std::vector<std::size_t> sizes = {100, 200, 400};
   for (std::size_t k = 0; k < sizes.size(); ++k) {
     const std::size_t n = sizes[k];
-    const std::size_t reps = n >= 400 ? 2 : 3;
+    const std::size_t reps = n >= 400 ? 3 : 5;
     const auto instance = bench_shapes::single_task_scaling_instance(n, 21);
-    // Honesty check first: the kernels must agree bit for bit before their
-    // times are compared (the equivalence suites pin this; re-assert here).
-    const auto columns_outcome =
-        auction::single_task::run_mechanism(instance, config_for(DpKernel::kColumns));
-    const auto oracle_outcome =
-        auction::single_task::run_mechanism(instance, config_for(DpKernel::kScalarOracle));
-    if (columns_outcome.allocation.winners != oracle_outcome.allocation.winners ||
-        columns_outcome.allocation.total_cost != oracle_outcome.allocation.total_cost) {
-      std::cerr << "kernel outcomes diverged at n=" << n << "\n";
+    // Honesty check first: the kernels must allocate identically before
+    // their times are compared (the equivalence suites pin this; re-assert).
+    const auto columns_allocation = solve_fptas_with(Kernel::kColumns, instance);
+    const auto oracle_allocation = solve_fptas_with(Kernel::kScalarOracle, instance);
+    if (columns_allocation.feasible != oracle_allocation.feasible ||
+        columns_allocation.winners != oracle_allocation.winners ||
+        columns_allocation.total_cost != oracle_allocation.total_cost) {
+      std::cerr << "kernel allocations diverged at n=" << n << "\n";
       return 1;
     }
-    const double columns_s =
-        best_mechanism_seconds(instance, config_for(DpKernel::kColumns), reps);
-    const double oracle_s =
-        best_mechanism_seconds(instance, config_for(DpKernel::kScalarOracle), reps);
+    const double columns_s = best_fptas_seconds(instance, Kernel::kColumns, reps);
+    const double oracle_s = best_fptas_seconds(instance, Kernel::kScalarOracle, reps);
     const auto items = frontier_items(4 * n, 21 + n);
     const double requirement = 0.05 * static_cast<double>(n);
     const double frontier_columns_s =
-        best_frontier_seconds(items, requirement, DpKernel::kColumns, reps);
+        best_frontier_seconds(items, requirement, Kernel::kColumns, reps);
     const double frontier_oracle_s =
-        best_frontier_seconds(items, requirement, DpKernel::kScalarOracle, reps);
-    const double mech_speedup = oracle_s / columns_s;
+        best_frontier_seconds(items, requirement, Kernel::kScalarOracle, reps);
+    const double fptas_speedup = oracle_s / columns_s;
     const double frontier_speedup = frontier_oracle_s / frontier_columns_s;
-    largest_n_speedup = mech_speedup;
-    std::cerr << "  n=" << n << ": mechanism " << columns_s * 1e3 << " ms vs " << oracle_s * 1e3
-              << " ms (" << mech_speedup << "x), frontier " << frontier_columns_s * 1e3
-              << " ms vs " << frontier_oracle_s * 1e3 << " ms (" << frontier_speedup << "x)\n";
+    largest_n_speedup = fptas_speedup;
+    std::cerr << "  n=" << n << ": winner determination " << columns_s * 1e3 << " ms vs "
+              << oracle_s * 1e3 << " ms (" << fptas_speedup << "x), frontier "
+              << frontier_columns_s * 1e3 << " ms vs " << frontier_oracle_s * 1e3 << " ms ("
+              << frontier_speedup << "x)\n";
     json << (k > 0 ? "," : "") << "{\"users\":" << n << ",\"reps\":" << reps
-         << ",\"winners\":" << columns_outcome.allocation.winners.size()
-         << ",\"mechanism\":{\"columns_ms\":" << columns_s * 1e3
-         << ",\"scalar_oracle_ms\":" << oracle_s * 1e3 << ",\"speedup\":" << mech_speedup
+         << ",\"winners\":" << columns_allocation.winners.size()
+         << ",\"winner_determination\":{\"columns_ms\":" << columns_s * 1e3
+         << ",\"scalar_oracle_ms\":" << oracle_s * 1e3 << ",\"speedup\":" << fptas_speedup
          << "},\"frontier_sweep\":{\"items\":" << items.size()
          << ",\"columns_ms\":" << frontier_columns_s * 1e3
          << ",\"scalar_oracle_ms\":" << frontier_oracle_s * 1e3
          << ",\"speedup\":" << frontier_speedup << "}}";
   }
-  json << "],\"outcomes\":\"bit-identical across kernels at every n\"";
+  json << "],\"outcomes\":\"identical allocations across kernels at every n\"";
 
   // --- 2. Streaming trace: peak RSS, one subprocess per storage mode. ---
   std::cerr << "trace RSS sweep (AoS CSV load vs mapped columns):\n";
@@ -265,7 +272,7 @@ int run(const char* argv0, const std::string& out) {
          << ",\"mapped_columns_vmhwm_kb\":" << mapped_kb
          << ",\"peak_rss_reduction\":" << static_cast<double>(aos_kb) / mapped_kb << "}";
   }
-  json << ",\"largest_n_mechanism_speedup\":" << largest_n_speedup << "}";
+  json << ",\"largest_n_winner_determination_speedup\":" << largest_n_speedup << "}";
 
   std::cout << json.str() << "\n";
   for (const std::string& path : {out, [] {

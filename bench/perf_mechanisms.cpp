@@ -11,10 +11,11 @@
 // throughput, one object per line — to
 // stdout and, when MCS_BENCH_JSON names a file path, to that file, so the
 // bench trajectory can be tracked across commits. The single-task scaling
-// suite (critical-bid DP-reuse fast path vs the full-solve oracle, one core)
-// rides in the same JSON stream. Pass --benchmark_filter to restrict the
-// microbenchmarks (e.g. --benchmark_filter=NONE emits only the JSON
-// records).
+// suite (the production mechanism vs the paper-literal oracle, one core)
+// rides in the same JSON stream. Every "reference" and "oracle" column
+// times oracle::run_mechanism or one of its parts. Pass --benchmark_filter
+// to restrict the microbenchmarks (e.g. --benchmark_filter=NONE emits only
+// the JSON records).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -39,6 +40,7 @@
 #include "common/distributions.hpp"
 #include "common/rng.hpp"
 #include "obs/telemetry.hpp"
+#include "oracle/mechanism.hpp"
 
 namespace {
 
@@ -56,17 +58,6 @@ auction::SingleTaskInstance make_single(std::size_t n, std::uint64_t seed) {
 /// gate measure literally the same shapes.
 auction::MultiTaskInstance make_multi(std::size_t n, std::size_t t, std::uint64_t seed) {
   return bench_shapes::scaling_instance(n, t, seed);
-}
-
-/// The reference mechanism configuration: paper-literal full-rescan winner
-/// determination plus copied-instance critical-bid probes — the pre-lazy
-/// code path, kept as a first-class config so the speedup stays measurable
-/// in-tree.
-auction::MechanismConfig reference_mechanism_config() {
-  auction::MechanismConfig config;
-  config.multi_task.winner_determination = auction::GreedyAlgorithm::kReferenceScan;
-  config.multi_task.masked_rewards = false;
-  return config;
 }
 
 void BM_KnapsackDp(benchmark::State& state) {
@@ -137,10 +128,12 @@ void BM_MultiTaskMechanismWithRewards(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool reference = state.range(1) != 0;
   const auto instance = make_multi(n, 15, 19);
-  const auto config =
-      reference ? reference_mechanism_config() : auction::MechanismConfig{.alpha = 10.0};
+  const auction::MechanismConfig config{.alpha = 10.0};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(auction::multi_task::run_mechanism(instance, config));
+    // The reference rows run the pre-lazy path: oracle::run_mechanism's
+    // full-rescan winner determination plus copied-instance probes.
+    benchmark::DoNotOptimize(reference ? oracle::run_mechanism(instance, config)
+                                       : auction::multi_task::run_mechanism(instance, config));
   }
 }
 BENCHMARK(BM_MultiTaskMechanismWithRewards)
@@ -260,7 +253,6 @@ std::string build_multi_task_scaling_record() {
   constexpr std::size_t kReps = 3;
   constexpr std::uint64_t kSeed = 42;
   const auction::MechanismConfig lazy_config{.alpha = 10.0};
-  const auction::MechanismConfig reference_config = reference_mechanism_config();
 
   std::ostringstream json;
   json << "{\"bench\":\"multi_task_scaling\",\"tasks\":" << kTasks << ",\"reps\":" << kReps
@@ -321,7 +313,7 @@ std::string build_multi_task_scaling_record() {
       benchmark::DoNotOptimize(auction::multi_task::run_mechanism(instance, lazy_config));
     });
     const double mech_reference_ms = best_elapsed_ms(kReps, [&] {
-      benchmark::DoNotOptimize(auction::multi_task::run_mechanism(instance, reference_config));
+      benchmark::DoNotOptimize(oracle::run_mechanism(instance, lazy_config));
     });
 
     json << (k > 0 ? "," : "") << "{\"users\":" << n << ",\"winners\":" << winners.size()
@@ -340,14 +332,14 @@ std::string build_multi_task_scaling_record() {
   return json.str();
 }
 
-/// The single-task scaling suite: the critical-bid fast path
-/// (ProbeStrategy::kDpReuse) vs the full-solve oracle at n ∈ {50,100,200,400}
-/// on the bench_shapes single-task population. Phases: winner determination
-/// (identical in both configurations — the strategies only differ in the
-/// reward search), then the per-winner critical-bid phase timed serially so
-/// the split reflects algorithmic cost, then the end-to-end mechanism with
-/// parallel rewards OFF — the committed record backs the ISSUE-5 acceptance
-/// bar (>= 5x end-to-end at n = 400 on one core). Each row also records the
+/// The single-task scaling suite: the production mechanism vs the
+/// paper-literal oracle (oracle::run_mechanism) at n ∈ {50,100,200,400} on
+/// the bench_shapes single-task population. Phases: winner determination
+/// (production solve_fptas), then the per-winner critical-bid phase timed
+/// serially so the split reflects algorithmic cost — the probe context vs
+/// oracle::compute_reward's full re-solve of a copied instance per probe —
+/// then the end-to-end mechanism with parallel rewards OFF, where the oracle
+/// also runs the paper-literal FPTAS over the scalar DP kernel. Each row also records the
 /// fast path's probe accounting (dp_reuse_hits / dp_reuse_fallbacks) from an
 /// instrumented run, so a silent fallback storm — which would erase the
 /// speedup while staying bit-identical — is visible in the committed JSON.
@@ -374,33 +366,25 @@ std::string build_single_task_scaling_record() {
     });
     const auto allocation = auction::single_task::solve_fptas(instance, kEpsilon);
 
-    const RewardOptions fast_options{.alpha = 10.0,
-                                     .epsilon = kEpsilon,
-                                     .probe_strategy = auction::ProbeStrategy::kDpReuse};
-    RewardOptions oracle_options = fast_options;
-    oracle_options.probe_strategy = auction::ProbeStrategy::kFullSolve;
+    const RewardOptions options{.alpha = 10.0, .epsilon = kEpsilon};
     const double reward_fast_ms = best_elapsed_ms(reps, [&] {
       for (auction::UserId winner : allocation.winners) {
-        benchmark::DoNotOptimize(
-            auction::single_task::compute_reward(instance, winner, fast_options));
+        benchmark::DoNotOptimize(auction::single_task::compute_reward(instance, winner, options));
       }
     });
     const double reward_oracle_ms = best_elapsed_ms(reps, [&] {
       for (auction::UserId winner : allocation.winners) {
-        benchmark::DoNotOptimize(
-            auction::single_task::compute_reward(instance, winner, oracle_options));
+        benchmark::DoNotOptimize(oracle::compute_reward(instance, winner, options));
       }
     });
 
     auction::MechanismConfig fast_config{.alpha = 10.0, .single_task = {.epsilon = kEpsilon}};
     fast_config.parallel_rewards = false;
-    auction::MechanismConfig oracle_config = fast_config;
-    oracle_config.single_task.probe_strategy = auction::ProbeStrategy::kFullSolve;
     const double mech_fast_ms = best_elapsed_ms(reps, [&] {
       benchmark::DoNotOptimize(auction::single_task::run_mechanism(instance, fast_config));
     });
     const double mech_oracle_ms = best_elapsed_ms(reps, [&] {
-      benchmark::DoNotOptimize(auction::single_task::run_mechanism(instance, oracle_config));
+      benchmark::DoNotOptimize(oracle::run_mechanism(instance, fast_config));
     });
 
     // Probe accounting of the fast path, from one instrumented run.

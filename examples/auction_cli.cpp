@@ -29,7 +29,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -115,22 +114,7 @@ struct LoadedFile {
 LoadedFile load_file(const std::filesystem::path& path) {
   LoadedFile loaded{path, std::nullopt, {}};
   try {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      loaded.load_error = "cannot open " + path.string();
-      return loaded;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const auto kind = auction::detect_instance_kind(buffer.str());
-    // load_* (rather than *_from_text) so parse errors name the file.
-    if (kind == "single") {
-      loaded.instance = auction::load_single_task(path);
-    } else if (kind == "multi") {
-      loaded.instance = auction::load_multi_task(path);
-    } else {
-      loaded.load_error = "unrecognized instance header in " + path.string();
-    }
+    loaded.instance = auction::load_instance(path);
   } catch (const std::exception& error) {
     loaded.load_error = error.what();
   }

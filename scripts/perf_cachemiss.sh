@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Cache-miss harness for the Algorithm 1 DP kernels (DESIGN.md §8): runs the
-# frontier-DP-dominated single-task mechanism under `perf stat` once per
-# kernel (columns vs scalar oracle) on the same instance, so the wall-clock
+# Cache-miss harness for the Algorithm 1 DP kernels (DESIGN.md §8): runs
+# FPTAS winner determination (one frontier sweep per subproblem) under
+# `perf stat` once per kernel — the production columns kernel
+# (single_task::solve_fptas) vs the oracle library's paper-literal scalar
+# kernel (oracle::solve_fptas) — on the same instance, so the wall-clock
 # speedup recorded in bench/results/memory_scaling.json can be read next to
 # the LLC-miss reduction that produces it.
 #

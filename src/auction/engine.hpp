@@ -42,9 +42,6 @@
 
 namespace mcs::auction {
 
-/// One auction of either family, as submitted to the engine.
-using AuctionInstance = std::variant<SingleTaskInstance, MultiTaskInstance>;
-
 /// The instance types the batch and single-auction entries accept.
 template <typename Instance>
 concept EngineInstance = std::same_as<Instance, SingleTaskInstance> ||

@@ -11,6 +11,7 @@
 // under which PoS constraints become additive covering constraints.
 #pragma once
 
+#include <variant>
 #include <vector>
 
 #include "auction/types.hpp"
@@ -116,6 +117,10 @@ struct MultiTaskInstance {
   /// Copy without user `user` (ids above shift down by one).
   MultiTaskInstance without_user(UserId user) const;
 };
+
+/// One auction of either family: what the engine runs and an instance file
+/// holds.
+using AuctionInstance = std::variant<SingleTaskInstance, MultiTaskInstance>;
 
 /// The field checks behind the validate() methods, one field at a time, so
 /// code that reads bids in another layout (MultiTaskView's builder) rejects

@@ -257,6 +257,18 @@ MultiTaskInstance load_multi_task(const std::filesystem::path& path) {
   return parse_multi_task(common::text::read_file(path, kFileKind), path.string());
 }
 
+AuctionInstance load_instance(const std::filesystem::path& path) {
+  const std::string text = common::text::read_file(path, kFileKind);
+  const std::string kind = detect_instance_kind(text);
+  if (kind == "single") {
+    return parse_single_task(text, path.string());
+  }
+  if (kind == "multi") {
+    return parse_multi_task(text, path.string());
+  }
+  throw common::PreconditionError("unrecognized instance header in " + path.string());
+}
+
 std::string detect_instance_kind(const std::string& text) {
   Line header;
   if (!common::text::LineScanner(text).next(header) || header.tokens.size() != 1) {

@@ -44,4 +44,10 @@ MultiTaskInstance load_multi_task(const std::filesystem::path& path);
 /// Peeks at the header line: "single", "multi", or "" when unrecognized.
 std::string detect_instance_kind(const std::string& text);
 
+/// Reads the instance file at `path` once (a pipe works too) and parses it
+/// as the format its header names; parse errors name the path. Throws
+/// PreconditionError "unrecognized instance header in <path>" for any other
+/// header, and std::runtime_error when the file cannot be read.
+AuctionInstance load_instance(const std::filesystem::path& path);
+
 }  // namespace mcs::auction

@@ -60,36 +60,26 @@ MechanismOutcome run_on_view(const MultiTaskView& view, const MultiTaskInstance*
   // worker reads the winner-determination run above, which outlives them.
   const auto& winners = outcome.allocation.winners;
   const obs::PhaseTimer reward_timer(telemetry);
+  // With telemetry on, one counter block per winner, merged in index order
+  // afterwards, so the totals are deterministic regardless of how
+  // parallel_map schedules. Off, no block exists and every slot counts into
+  // nullptr.
+  std::vector<obs::PhaseCounters> per_winner(telemetry ? winners.size() : 0);
+  outcome.rewards = common::parallel_map<WinnerReward>(
+      winners.size(),
+      [&](std::size_t index) {
+        RewardOptions slot_options = reward_options;
+        slot_options.counters = telemetry ? &per_winner[index] : nullptr;
+        return config.multi_task.masked_rewards
+                   ? compute_reward(view, winners[index], slot_options)
+                   : compute_reward(*instance, winners[index], slot_options);
+      },
+      config.reward_worker_budget());
   if (telemetry) {
-    // One counter block per winner, merged in index order afterwards, so the
-    // totals are deterministic regardless of how parallel_map schedules.
-    std::vector<obs::PhaseCounters> per_winner(winners.size());
-    outcome.rewards = common::parallel_map<WinnerReward>(
-        winners.size(),
-        [&](std::size_t index) {
-          RewardOptions slot_options = reward_options;
-          slot_options.counters = &per_winner[index];
-          return config.multi_task.masked_rewards
-                     ? compute_reward(view, winners[index], slot_options)
-                     : compute_reward(*instance, winners[index], slot_options);
-        },
-        config.reward_worker_budget());
     for (const obs::PhaseCounters& block : per_winner) {
       outcome.telemetry.rewards += block;
     }
     outcome.telemetry.rewards_seconds = reward_timer.seconds();
-  } else if (config.multi_task.masked_rewards) {
-    outcome.rewards = common::parallel_map<WinnerReward>(
-        winners.size(),
-        [&](std::size_t index) { return compute_reward(view, winners[index], reward_options); },
-        config.reward_worker_budget());
-  } else {
-    outcome.rewards = common::parallel_map<WinnerReward>(
-        winners.size(),
-        [&](std::size_t index) {
-          return compute_reward(*instance, winners[index], reward_options);
-        },
-        config.reward_worker_budget());
   }
   return outcome;
 }

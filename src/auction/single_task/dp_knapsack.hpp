@@ -6,18 +6,15 @@
 // frontier ordered by strictly increasing cost and contribution, so the
 // minimum-cost feasible state is found by a scan.
 //
-// Item subsets are reconstructed through parent links in a state pool rather
-// than stored per state, keeping the DP O(#states) in memory.
-//
-// Two kernels implement the sweep (auction::DpKernel). kColumns, the
-// default, keeps the frontier as two contiguous (cost, contribution) arrays
-// and merges extensions with a branch-light two-pointer pass — no state
-// pool, no index indirection, parent links in a side pool only when the
-// caller reconstructs a subset. kScalarOracle is the original pooled
-// implementation, retained verbatim as the differential oracle. Both
-// perform the identical comparisons on the identical doubles, so frontier
-// entries, chosen subsets, and tie-breaks are bit-for-bit equal
-// (tests/dp_kernel_equivalence_test.cpp).
+// The sweep (the "columns kernel") keeps the frontier as two contiguous
+// (cost, contribution) arrays and merges extensions with a branch-light
+// two-pointer pass — no state pool, no index indirection. Item subsets are
+// reconstructed through parent links kept in a side pool only when the
+// caller reconstructs a subset, keeping the DP O(#states) in memory. The
+// paper-literal pooled-state sweep in the mcs_oracle library is its
+// differential oracle: both perform the identical comparisons on the
+// identical doubles, so frontier entries, chosen subsets, and tie-breaks are
+// bit-for-bit equal.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +22,6 @@
 #include <span>
 #include <vector>
 
-#include "auction/types.hpp"
 #include "common/deadline.hpp"
 
 namespace mcs::auction::single_task {
@@ -64,13 +60,12 @@ struct FrontierEntry {
 /// sweep's floating-point folds over without-winner subsets are exactly the
 /// ones a full re-solve would compute, which is what makes the reuse
 /// bit-identical. Polls `deadline` once per item, like solve_min_knapsack.
-/// The frontier-only path never allocates parent links under kColumns: the
-/// probe context builds thousands of these per reward phase and needs only
-/// the (cost, contribution) rows.
+/// The frontier-only path never allocates parent links: the probe context
+/// builds thousands of these per reward phase and needs only the
+/// (cost, contribution) rows.
 std::vector<FrontierEntry> min_knapsack_frontier(std::span<const KnapsackItem> items,
                                                  double requirement,
-                                                 const common::Deadline& deadline = {},
-                                                 DpKernel kernel = DpKernel::kColumns);
+                                                 const common::Deadline& deadline = {});
 
 /// Minimum-cost subset with total contribution >= requirement, or nullopt
 /// when even the full item set falls short. Contributions are capped at
@@ -79,15 +74,13 @@ std::vector<FrontierEntry> min_knapsack_frontier(std::span<const KnapsackItem> i
 /// once per item and throws common::DeadlineExceeded when it expires.
 std::optional<KnapsackSolution> solve_min_knapsack(std::span<const KnapsackItem> items,
                                                    double requirement,
-                                                   const common::Deadline& deadline = {},
-                                                   DpKernel kernel = DpKernel::kColumns);
+                                                   const common::Deadline& deadline = {});
 
 /// The dual form Algorithm 1's discussion also describes: the
 /// maximum-contribution subset whose total scaled cost stays within
 /// `budget`. Always has a solution (the empty set). Budgeted coverage is the
 /// primitive behind budget-feasible crowdsensing (the paper's reference
 /// [5]): recruit the best task coverage a fixed budget can buy.
-KnapsackSolution solve_max_knapsack(std::span<const KnapsackItem> items, std::int64_t budget,
-                                    DpKernel kernel = DpKernel::kColumns);
+KnapsackSolution solve_max_knapsack(std::span<const KnapsackItem> items, std::int64_t budget);
 
 }  // namespace mcs::auction::single_task

@@ -31,15 +31,14 @@ double roundtrip_contribution(double declared_q) {
 }  // namespace
 
 Allocation solve_fptas(const SingleTaskInstance& instance, double epsilon,
-                       const common::Deadline& deadline, obs::PhaseCounters* counters,
-                       DpKernel kernel) {
+                       const common::Deadline& deadline, obs::PhaseCounters* counters) {
   return solve_fptas(instance, BidColumns::from_single_task(instance), epsilon, deadline,
-                     counters, kernel);
+                     counters);
 }
 
 Allocation solve_fptas(const SingleTaskInstance& instance, const BidColumns& columns,
                        double epsilon, const common::Deadline& deadline,
-                       obs::PhaseCounters* counters, DpKernel kernel) {
+                       obs::PhaseCounters* counters) {
   MCS_EXPECTS(epsilon > 0.0, "approximation parameter must be positive");
   instance.validate();
   MCS_EXPECTS(columns.size() == instance.num_users(), "columns must snapshot this instance");
@@ -103,7 +102,7 @@ Allocation solve_fptas(const SingleTaskInstance& instance, const BidColumns& col
       items.push_back({contributions[j], scaled});
     }
 
-    const auto solution = solve_min_knapsack(items, requirement, deadline, kernel);
+    const auto solution = solve_min_knapsack(items, requirement, deadline);
     if (!solution.has_value()) {
       continue;
     }
@@ -133,20 +132,18 @@ Allocation solve_fptas(const SingleTaskInstance& instance, const BidColumns& col
 
 FptasProbeContext::FptasProbeContext(const SingleTaskInstance& instance, UserId winner,
                                      double epsilon, common::Deadline deadline,
-                                     obs::PhaseCounters* counters, DpKernel kernel)
+                                     obs::PhaseCounters* counters)
     : FptasProbeContext(instance, BidColumns::from_single_task(instance), winner, epsilon,
-                        std::move(deadline), counters, kernel) {}
+                        std::move(deadline), counters) {}
 
 FptasProbeContext::FptasProbeContext(const SingleTaskInstance& instance,
                                      const BidColumns& columns, UserId winner, double epsilon,
-                                     common::Deadline deadline, obs::PhaseCounters* counters,
-                                     DpKernel kernel)
+                                     common::Deadline deadline, obs::PhaseCounters* counters)
     : scratch_(instance),
       winner_(winner),
       epsilon_(epsilon),
       deadline_(std::move(deadline)),
       counters_(counters),
-      kernel_(kernel),
       requirement_(instance.requirement_contribution()) {
   MCS_EXPECTS(epsilon > 0.0, "approximation parameter must be positive");
   instance.validate();
@@ -235,7 +232,7 @@ FptasProbeContext::FptasProbeContext(const SingleTaskInstance& instance,
             sub.mu > 0.0 ? static_cast<std::int64_t>(std::floor(sorted_costs_[j] / sub.mu)) : 0;
         items.push_back({sorted_contributions_[j], scaled});
       }
-      const auto solution = solve_min_knapsack(items, requirement_, deadline_, kernel_);
+      const auto solution = solve_min_knapsack(items, requirement_, deadline_);
       if (solution.has_value()) {
         sub.constant_feasible = true;
         sub.constant_scaled_value = static_cast<double>(solution->total_scaled_cost) * sub.mu;
@@ -262,7 +259,7 @@ FptasProbeContext::FptasProbeContext(const SingleTaskInstance& instance,
           sub.mu > 0.0 ? static_cast<std::int64_t>(std::floor(sorted_costs_[j] / sub.mu)) : 0;
       items.push_back({sorted_contributions_[j], scaled});
     }
-    sub.frontier = min_knapsack_frontier(items, requirement_, deadline_, kernel_);
+    sub.frontier = min_knapsack_frontier(items, requirement_, deadline_);
     // Cheapest without-winner cover: the frontier is cost-ascending and its
     // contributions are the oracle's own fold values, so this scan IS the
     // oracle's feasibility scan restricted to without-winner states.
@@ -359,7 +356,7 @@ FptasProbeContext::ExactSubproblem FptasProbeContext::solve_subproblem_exact(
         sub.mu > 0.0 ? static_cast<std::int64_t>(std::floor(sorted_costs_[j] / sub.mu)) : 0;
     items.push_back({j == position_ ? probe_q : sorted_contributions_[j], scaled});
   }
-  const auto solution = solve_min_knapsack(items, requirement_, deadline_, kernel_);
+  const auto solution = solve_min_knapsack(items, requirement_, deadline_);
   ExactSubproblem exact;
   if (!solution.has_value()) {
     return exact;
@@ -379,7 +376,7 @@ bool FptasProbeContext::fallback_wins(double declared_q) {
   // solver. Bit-identical to the oracle by construction.
   scratch_.bids[static_cast<std::size_t>(winner_)].pos =
       common::pos_from_contribution(declared_q);
-  const auto allocation = solve_fptas(scratch_, epsilon_, deadline_, counters_, kernel_);
+  const auto allocation = solve_fptas(scratch_, epsilon_, deadline_, counters_);
   return allocation.feasible && allocation.contains(winner_);
 }
 

@@ -30,12 +30,11 @@ namespace mcs::auction::single_task {
 /// then retry on the Min-Greedy degraded ladder). `counters`, when non-null,
 /// accumulates rounds (subproblem scans) and scan-level deadline polls (the
 /// DP's inner polls are uncounted to keep the hot loop branch-free).
-/// `kernel` selects the Algorithm 1 sweep implementation (see DpKernel);
-/// both settings return bit-identical allocations.
+/// oracle::solve_fptas is the same scan over the paper-literal Algorithm 1
+/// sweep; the two return bit-identical allocations.
 Allocation solve_fptas(const SingleTaskInstance& instance, double epsilon,
                        const common::Deadline& deadline = {},
-                       obs::PhaseCounters* counters = nullptr,
-                       DpKernel kernel = DpKernel::kColumns);
+                       obs::PhaseCounters* counters = nullptr);
 
 /// Column-routed overload: reads every per-user cost and contribution from
 /// `columns` (one BidColumns::from_single_task snapshot of `instance`)
@@ -45,11 +44,10 @@ Allocation solve_fptas(const SingleTaskInstance& instance, double epsilon,
 /// shares them between winner determination and every reward search.
 Allocation solve_fptas(const SingleTaskInstance& instance, const BidColumns& columns,
                        double epsilon, const common::Deadline& deadline = {},
-                       obs::PhaseCounters* counters = nullptr,
-                       DpKernel kernel = DpKernel::kColumns);
+                       obs::PhaseCounters* counters = nullptr);
 
-/// Reusable probe state of the single-task critical-bid fast path
-/// (ProbeStrategy::kDpReuse). The bisection of Algorithm 3 asks "does winner
+/// Reusable probe state of the single-task critical-bid fast path. The
+/// bisection of Algorithm 3 asks "does winner
 /// i still win when declaring q?" ~50 times per winner, and each full-solve
 /// answer re-runs every FPTAS subproblem from scratch even though only i's
 /// declaration changed. This context factors the solve into its
@@ -90,21 +88,19 @@ class FptasProbeContext {
   /// dp_reuse_fallbacks; the caller counts probes. Polls `deadline` once
   /// per subproblem, like solve_fptas.
   FptasProbeContext(const SingleTaskInstance& instance, UserId winner, double epsilon,
-                    common::Deadline deadline = {}, obs::PhaseCounters* counters = nullptr,
-                    DpKernel kernel = DpKernel::kColumns);
+                    common::Deadline deadline = {}, obs::PhaseCounters* counters = nullptr);
 
   /// Column-routed overload: the build reads costs and contributions from
   /// `columns` (a snapshot of `instance`, borrowed only for the build)
   /// instead of the nested bids — same doubles, bit-identical tables.
   FptasProbeContext(const SingleTaskInstance& instance, const BidColumns& columns,
                     UserId winner, double epsilon, common::Deadline deadline = {},
-                    obs::PhaseCounters* counters = nullptr,
-                    DpKernel kernel = DpKernel::kColumns);
+                    obs::PhaseCounters* counters = nullptr);
 
   /// Whether the winner is selected when declaring contribution
-  /// `declared_q`. Applies the same q → PoS → q round trip as the
-  /// copying/scratch probe paths, so the answer is bit-identical to
-  /// solve_fptas on the modified instance — purely from the reused
+  /// `declared_q`. Applies the same q → PoS → q round trip as a probe that
+  /// writes the declaration into the instance, so the answer is
+  /// bit-identical to solve_fptas on the modified instance — purely from the reused
   /// frontiers (dp_reuse_hits) or, when the reassociation certificate
   /// cannot decide a subproblem, with that subproblem re-solved exactly
   /// (dp_reuse_fallbacks). `declared_q` must be in [0, the declaration the
@@ -161,7 +157,6 @@ class FptasProbeContext {
   double epsilon_;
   common::Deadline deadline_;
   obs::PhaseCounters* counters_;
-  DpKernel kernel_ = DpKernel::kColumns;  ///< threaded into every DP this context runs
   double requirement_ = 0.0;
   double declared_roundtrip_ = 0.0;  ///< build-time declaration after q→PoS→q
 

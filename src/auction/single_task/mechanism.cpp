@@ -30,8 +30,7 @@ MechanismOutcome run_with_rule(const SingleTaskInstance& instance,
     outcome.allocation =
         rule == WinnerRule::kMinGreedy
             ? solve_min_greedy(instance, columns, deadline, counters)
-            : solve_fptas(instance, columns, config.single_task.epsilon, deadline, counters,
-                          config.single_task.dp_kernel);
+            : solve_fptas(instance, columns, config.single_task.epsilon, deadline, counters);
     if (telemetry) {
       outcome.telemetry.winner_determination_seconds = timer.seconds();
     }
@@ -44,36 +43,28 @@ MechanismOutcome run_with_rule(const SingleTaskInstance& instance,
       .epsilon = config.single_task.epsilon,
       .binary_search_iterations = config.single_task.binary_search_iterations,
       .winner_rule = rule,
-      .probe_strategy = config.single_task.probe_strategy,
       .deadline = deadline,
-      .dp_kernel = config.single_task.dp_kernel,
       .columns = &columns};
   const auto& winners = outcome.allocation.winners;
   const obs::PhaseTimer reward_timer(telemetry);
+  // With telemetry on, each winner's reward computation counts into its own
+  // block; merging in index order afterwards keeps the totals deterministic
+  // regardless of how parallel_map schedules the slots. Off, no block exists
+  // and every slot counts into nullptr.
+  std::vector<obs::PhaseCounters> per_winner(telemetry ? winners.size() : 0);
+  outcome.rewards = common::parallel_map<WinnerReward>(
+      winners.size(),
+      [&](std::size_t index) {
+        RewardOptions slot_options = reward_options;
+        slot_options.counters = telemetry ? &per_winner[index] : nullptr;
+        return compute_reward(instance, winners[index], slot_options);
+      },
+      config.reward_worker_budget());
   if (telemetry) {
-    // Each winner's reward computation counts into its own block; merging in
-    // index order afterwards keeps the totals deterministic regardless of
-    // how parallel_map schedules the slots.
-    std::vector<obs::PhaseCounters> per_winner(winners.size());
-    outcome.rewards = common::parallel_map<WinnerReward>(
-        winners.size(),
-        [&](std::size_t index) {
-          RewardOptions slot_options = reward_options;
-          slot_options.counters = &per_winner[index];
-          return compute_reward(instance, winners[index], slot_options);
-        },
-        config.reward_worker_budget());
     for (const obs::PhaseCounters& block : per_winner) {
       outcome.telemetry.rewards += block;
     }
     outcome.telemetry.rewards_seconds = reward_timer.seconds();
-  } else {
-    outcome.rewards = common::parallel_map<WinnerReward>(
-        winners.size(),
-        [&](std::size_t index) {
-          return compute_reward(instance, winners[index], reward_options);
-        },
-        config.reward_worker_budget());
   }
   return outcome;
 }

@@ -9,40 +9,22 @@ namespace mcs::auction::single_task {
 
 namespace {
 
-// One winner-determination re-run against `probe`, which already carries the
-// winner's probed declaration. Both rules honour the options' deadline; the
-// probe count feeds the telemetry record.
-bool probe_wins(const SingleTaskInstance& probe, UserId user, const RewardOptions& options) {
+// Scratch probe: writes the probed declaration into a caller-owned mutable
+// copy in place and re-runs Min-Greedy winner determination on it, honouring
+// the options' deadline. pos_from_contribution is exactly the conversion
+// with_declared_contribution applies, so the solver sees a bit-identical
+// instance without the O(n) copy per probe.
+bool min_greedy_wins(SingleTaskInstance& scratch, UserId user, double declared_q,
+                     const RewardOptions& options) {
   if (options.counters != nullptr) {
     ++options.counters->probes;
   }
-  const auto allocation =
-      options.winner_rule == WinnerRule::kMinGreedy
-          ? solve_min_greedy(probe, options.deadline, options.counters)
-          : solve_fptas(probe, options.epsilon, options.deadline, options.counters,
-                        options.dp_kernel);
+  scratch.bids[static_cast<std::size_t>(user)].pos = common::pos_from_contribution(declared_q);
+  const auto allocation = solve_min_greedy(scratch, options.deadline, options.counters);
   return allocation.feasible && allocation.contains(user);
 }
 
-// Copying probe path: materializes a fresh instance per probe. Kept as the
-// oracle the scratch path is asserted bit-identical against.
-bool wins_with_contribution_copied(const SingleTaskInstance& instance, UserId user,
-                                   double declared_q, const RewardOptions& options) {
-  const auto modified = instance.with_declared_contribution(user, declared_q);
-  return probe_wins(modified, user, options);
-}
-
-// Scratch probe path: writes the probed declaration into a caller-owned
-// mutable copy in place. pos_from_contribution is exactly the conversion
-// with_declared_contribution applies, so the solver sees a bit-identical
-// instance without the O(n) copy per probe.
-bool wins_with_contribution_scratch(SingleTaskInstance& scratch, UserId user, double declared_q,
-                                    const RewardOptions& options) {
-  scratch.bids[static_cast<std::size_t>(user)].pos = common::pos_from_contribution(declared_q);
-  return probe_wins(scratch, user, options);
-}
-
-// The bisection of Algorithm 3 over wins(q), shared by all probe paths.
+// The bisection of Algorithm 3 over wins(q), shared by both probe paths.
 // Monotonicity (Lemma 1): wins(q) is a step function, false below the
 // critical bid and true at/above it. Invariant: loses at lo, wins at hi.
 // Every probe — the two boundary probes included — runs behind the same
@@ -85,19 +67,16 @@ double critical_contribution(const SingleTaskInstance& instance, UserId winner,
   MCS_EXPECTS(options.binary_search_iterations > 0, "need at least one bisection step");
   const double declared = instance.contribution(winner);
 
-  if (options.winner_rule == WinnerRule::kFptas &&
-      options.probe_strategy == ProbeStrategy::kDpReuse) {
-    // Fast path: one reusable probe context per winner answers the whole
-    // bisection from reused DP frontiers (falling back to full solves only
-    // when its certificate cannot decide a probe). Min-Greedy probes stay on
-    // the full-solve path: its density order depends on the probed
-    // declaration, and a full greedy pass is O(n log n) anyway.
+  if (options.winner_rule == WinnerRule::kFptas) {
+    // One reusable probe context per winner answers the whole bisection
+    // from reused DP frontiers (falling back to full solves only when its
+    // certificate cannot decide a probe).
     FptasProbeContext context =
         options.columns != nullptr
             ? FptasProbeContext(instance, *options.columns, winner, options.epsilon,
-                                options.deadline, options.counters, options.dp_kernel)
+                                options.deadline, options.counters)
             : FptasProbeContext(instance, winner, options.epsilon, options.deadline,
-                                options.counters, options.dp_kernel);
+                                options.counters);
     return bisect_critical(declared, options, [&](double q) {
       if (options.counters != nullptr) {
         ++options.counters->probes;
@@ -105,15 +84,11 @@ double critical_contribution(const SingleTaskInstance& instance, UserId winner,
       return context.wins(q);
     });
   }
-  if (options.scratch_probes) {
-    SingleTaskInstance scratch = instance;  // one copy for the whole search
-    return bisect_critical(declared, options, [&](double q) {
-      return wins_with_contribution_scratch(scratch, winner, q, options);
-    });
-  }
-  return bisect_critical(declared, options, [&](double q) {
-    return wins_with_contribution_copied(instance, winner, q, options);
-  });
+  // Min-Greedy probes re-solve: its density order depends on the probed
+  // declaration, and a full greedy pass is O(n log n) anyway.
+  SingleTaskInstance scratch = instance;  // one copy for the whole search
+  return bisect_critical(declared, options,
+                         [&](double q) { return min_greedy_wins(scratch, winner, q, options); });
 }
 
 WinnerReward compute_reward(const SingleTaskInstance& instance, UserId winner,

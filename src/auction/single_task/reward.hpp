@@ -29,25 +29,9 @@ struct RewardOptions {
   double epsilon = 0.1;            ///< FPTAS parameter used by the re-runs
   int binary_search_iterations = 48;  ///< ~1e-14 relative precision on q̄
   WinnerRule winner_rule = WinnerRule::kFptas;
-  /// How FPTAS critical-bid probes are answered: kDpReuse (default) builds
-  /// one FptasProbeContext per winner and answers probes from reused
-  /// without-winner DP frontiers; kFullSolve re-runs the winner
-  /// determination per probe (the oracle the fast path is differential-
-  /// tested against). Bit-identical outcomes either way; Min-Greedy probes
-  /// always full-solve. See DESIGN.md §8.
-  ProbeStrategy probe_strategy = ProbeStrategy::kDpReuse;
   /// Cooperative wall-clock budget; polled once per probe and threaded into
   /// the FPTAS and Min-Greedy re-runs.
   common::Deadline deadline = {};
-  /// Answer each critical-bid probe by mutating one reusable scratch copy of
-  /// the instance (save/restore the winner's declared PoS around the probe)
-  /// instead of materializing a fresh O(n) copy per probe. Bit-identical to
-  /// the copying path (asserted by tests/st_reward_test.cpp); off reproduces
-  /// the legacy allocation behaviour for benchmarking.
-  bool scratch_probes = true;
-  /// Frontier-DP kernel threaded into every FPTAS re-run and probe-context
-  /// build this search issues (see DpKernel); both settings bit-identical.
-  DpKernel dp_kernel = DpKernel::kColumns;
   /// Borrowed per-instance bid columns (built once by the mechanism facade
   /// and shared across all winners' searches). When non-null, the
   /// probe-context build reads costs/contributions from these flat arrays;
@@ -65,6 +49,12 @@ struct RewardOptions {
 /// contributions with which the winner-determination algorithm still selects
 /// her, searched over [0, her declared contribution]. Requires that she wins
 /// with her current declaration.
+///
+/// kFptas probes are answered by one FptasProbeContext per winner, from
+/// reused without-winner DP frontiers; kMinGreedy probes write the probed
+/// declaration into one scratch copy of the instance and re-solve it. Both
+/// are bit-identical to oracle::critical_contribution, which re-solves a
+/// fresh copy of the instance on every probe (DESIGN.md §8).
 double critical_contribution(const SingleTaskInstance& instance, UserId winner,
                              const RewardOptions& options);
 

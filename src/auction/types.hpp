@@ -108,59 +108,24 @@ enum class GreedyAlgorithm {
   kReferenceScan,
 };
 
-/// How the single-task critical-bid search answers its wins(q) probes.
-/// kDpReuse is the fast path: one without-winner knapsack frontier per
-/// (winner, FPTAS subproblem), built once per critical-bid search and
-/// combined with the probed declaration in O(log states) per bisection step;
-/// probes whose outcome could differ from a full re-solve by floating-point
-/// reassociation (detected by an interval certificate) fall back to the full
-/// solve, so the two strategies are bit-identical (asserted by
-/// tests/st_probe_equivalence_test.cpp). kFullSolve re-runs winner
-/// determination from scratch on every probe — the oracle and the benchmark
-/// baseline. Min-Greedy probes always full-solve (already cheap).
-enum class ProbeStrategy {
-  kDpReuse,
-  kFullSolve,
-};
-
-/// Which implementation runs the Algorithm 1 Pareto-frontier sweep (the
-/// remaining single-task hot kernel — it dominates both solve_fptas and the
-/// probe-context builds). kColumns is the memory-engineered default: the
-/// frontier lives in two contiguous (cost, contribution) arrays merged with
-/// a branch-light two-pointer pass, parent links for subset reconstruction
-/// kept in a separate side pool only when a caller actually reconstructs
-/// (frontier-only callers allocate none). kScalarOracle is the original
-/// pointer-chasing state pool retained as the differential oracle; both
-/// kernels produce bit-identical frontiers, solutions, and tie-breaks
-/// (asserted by tests/dp_kernel_equivalence_test.cpp — see DESIGN.md §8).
-enum class DpKernel {
-  kColumns,
-  kScalarOracle,
-};
-
 /// Knobs only the single-task (FPTAS) family reads.
 struct SingleTaskKnobs {
   double epsilon = 0.1;               ///< FPTAS approximation parameter
   int binary_search_iterations = 48;  ///< ~1e-14 relative precision on q̄
-  /// Probe strategy of the critical-bid reward search (see ProbeStrategy).
-  ProbeStrategy probe_strategy = ProbeStrategy::kDpReuse;
-  /// Frontier-DP kernel behind every Algorithm 1 sweep (see DpKernel). The
-  /// knob exists for benchmarking and bisection; both settings are
-  /// bit-identical end to end.
-  DpKernel dp_kernel = DpKernel::kColumns;
 };
 
 /// Knobs only the multi-task single-minded family reads.
 struct MultiTaskKnobs {
   CriticalBidRule critical_bid_rule = CriticalBidRule::kBinarySearch;
   /// Winner-determination algorithm; kLazy and kReferenceScan are
-  /// bit-identical, the knob exists for benchmarking and bisection.
+  /// bit-identical. oracle::run_mechanism selects the reference scan; the
+  /// repository benchmark still reads this knob.
   GreedyAlgorithm winner_determination = GreedyAlgorithm::kLazy;
   /// Run the critical-bid greedy probes on a flat CSR view of the instance
   /// with an exclusion-mask / declared-contribution overlay instead of
   /// materializing an O(n·t) instance copy per probe. Bit-identical to the
-  /// copied path (asserted by tests); off reproduces the legacy allocation
-  /// behaviour for benchmarking.
+  /// copied path (asserted by tests); off is the copied-instance oracle that
+  /// oracle::run_mechanism selects.
   bool masked_rewards = true;
   /// When the greedy cover stalls (infeasible instance) or hits the auction
   /// deadline, keep the selected winner prefix: the outcome stays infeasible

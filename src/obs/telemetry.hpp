@@ -101,7 +101,7 @@ struct PhaseCounters {
   /// Critical-bid bisection iterations across all winners of the phase.
   std::uint64_t bisection_steps = 0;
   /// Single-task fast-path probes answered from the per-winner reused DP
-  /// frontiers (ProbeStrategy::kDpReuse) without a full re-solve.
+  /// frontiers (single_task::FptasProbeContext) without a full re-solve.
   std::uint64_t dp_reuse_hits = 0;
   /// Fast-path probes that fell back to a full winner-determination solve:
   /// the reuse certificate could not rule out a floating-point-reassociation

@@ -1,8 +1,5 @@
 #include "sim/experiment.hpp"
 
-#include <algorithm>
-
-#include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace mcs::sim {
@@ -23,67 +20,6 @@ WorkloadConfig default_bench_workload() {
   config.city.num_days = 12;
   config.city.trips_per_day = 25;
   return config;
-}
-
-std::vector<auction::AuctionInstance> sample_round_batch(const Workload& workload,
-                                                         std::size_t rounds,
-                                                         std::size_t num_tasks,
-                                                         std::size_t num_users,
-                                                         const ScenarioParams& params,
-                                                         common::Rng& rng) {
-  std::vector<auction::AuctionInstance> batch;
-  batch.reserve(rounds);
-  for (std::size_t round = 0; round < rounds; ++round) {
-    auto scenario =
-        build_feasible_multi_task(workload.users(), num_tasks, num_users, params, rng, 30);
-    if (!scenario.has_value()) {
-      continue;
-    }
-    batch.emplace_back(std::move(scenario->instance));
-  }
-  return batch;
-}
-
-std::vector<auction::MechanismOutcome> run_round_batch(
-    const auction::Engine& engine, const std::vector<auction::AuctionInstance>& batch,
-    const auction::MechanismConfig& config) {
-  return engine.run(batch, config);
-}
-
-std::size_t stream_round_chunks(
-    const Workload& workload, const auction::Engine& engine, std::size_t rounds,
-    std::size_t num_tasks, std::size_t num_users, const ScenarioParams& params,
-    common::Rng& rng, std::size_t chunk_size, const auction::MechanismConfig& config,
-    const std::function<void(const auction::AuctionInstance&, const auction::MechanismOutcome&)>&
-        sink) {
-  MCS_EXPECTS(chunk_size > 0, "chunk size must be positive");
-  std::size_t delivered = 0;
-  std::vector<auction::AuctionInstance> chunk;
-  chunk.reserve(std::min(rounds, chunk_size));
-  std::size_t sampled = 0;
-  while (sampled < rounds) {
-    // Sample the next chunk with the exact per-round draws of the batched
-    // sampler (same builder, same retry budget, same rng stream).
-    chunk.clear();
-    while (sampled < rounds && chunk.size() < chunk_size) {
-      ++sampled;
-      auto scenario =
-          build_feasible_multi_task(workload.users(), num_tasks, num_users, params, rng, 30);
-      if (!scenario.has_value()) {
-        continue;
-      }
-      chunk.emplace_back(std::move(scenario->instance));
-    }
-    if (chunk.empty()) {
-      continue;
-    }
-    const auto outcomes = engine.run(chunk, config);
-    for (std::size_t k = 0; k < chunk.size(); ++k) {
-      sink(chunk[k], outcomes[k]);
-    }
-    delivered += chunk.size();
-  }
-  return delivered;
 }
 
 }  // namespace mcs::sim

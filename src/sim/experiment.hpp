@@ -1,15 +1,12 @@
 // Shared experiment plumbing for the benches and examples: one call builds
 // the full pipeline of the paper's evaluation — synthetic city, trace,
-// per-taxi mobility models, and the derived mobile-user population that the
-// scenario builders sample auction participants from — plus the round-batch
-// helpers that feed streams of sampled auctions to auction::Engine.
+// per-taxi mobility models, and the derived mobile-user population from
+// which sim/scenario.hpp samples auction participants.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "auction/engine.hpp"
 #include "mobility/pos.hpp"
 #include "sim/scenario.hpp"
 #include "trace/generator.hpp"
@@ -48,48 +45,5 @@ class Workload {
 /// The workload the bench binaries share (paper-default parameters, sized to
 /// finish in seconds rather than minutes).
 WorkloadConfig default_bench_workload();
-
-/// Samples up to `rounds` feasible multi-task auctions from the workload's
-/// user population — the stream a running platform would hold, one auction
-/// per campaign round, each on the `num_tasks` most popular cells with a
-/// fresh bidder sample. Returns fewer when the population cannot support the
-/// count (deterministic given `rng`).
-std::vector<auction::AuctionInstance> sample_round_batch(const Workload& workload,
-                                                         std::size_t rounds,
-                                                         std::size_t num_tasks,
-                                                         std::size_t num_users,
-                                                         const ScenarioParams& params,
-                                                         common::Rng& rng);
-
-/// Submits a sampled round batch to the engine under one shared config;
-/// outcomes align with the batch (see Engine::run for the determinism
-/// contract).
-std::vector<auction::MechanismOutcome> run_round_batch(
-    const auction::Engine& engine, const std::vector<auction::AuctionInstance>& batch,
-    const auction::MechanismConfig& config = {});
-
-/// Streaming twin of sample_round_batch + run_round_batch: samples and runs
-/// the `rounds` auctions in chunks of `chunk_size`, handing each (instance,
-/// outcome) pair to `sink` as its chunk completes and recycling the chunk
-/// storage. Peak memory is one chunk of instances plus outcomes regardless
-/// of the round count — the long-campaign path that a materialized batch
-/// cannot serve. Every auction is independent and the sampler draws from
-/// `rng` in exactly the batch order, so the streamed outcomes are identical
-/// to one big sample_round_batch/run_round_batch pass. Returns the number of
-/// rounds actually delivered (like sample_round_batch, fewer when the
-/// population cannot support the count).
-///
-/// chunk_size contract (pinned by sim_experiment_test): chunk_size == 0
-/// throws PreconditionError — a zero chunk can never make progress, so it is
-/// a caller bug, not a degenerate request. chunk_size > rounds is CLAMPED,
-/// not an error: the stream simply delivers everything in one chunk (memory
-/// is reserved for min(rounds, chunk_size), so an oversized chunk does not
-/// over-allocate). rounds == 0 is a no-op returning 0.
-std::size_t stream_round_chunks(
-    const Workload& workload, const auction::Engine& engine, std::size_t rounds,
-    std::size_t num_tasks, std::size_t num_users, const ScenarioParams& params,
-    common::Rng& rng, std::size_t chunk_size, const auction::MechanismConfig& config,
-    const std::function<void(const auction::AuctionInstance&, const auction::MechanismOutcome&)>&
-        sink);
 
 }  // namespace mcs::sim

@@ -52,6 +52,23 @@ std::vector<double> expected_utilities(const auction::MultiTaskInstance& instanc
   return utilities;
 }
 
+double expected_utility_of(const auction::SingleTaskInstance& truth,
+                           const auction::MechanismOutcome& outcome, auction::UserId user) {
+  if (!outcome.allocation.contains(user)) {
+    return 0.0;
+  }
+  return outcome.reward_of(user).reward.expected_utility(truth.bids[user].pos);
+}
+
+double expected_utility_of(const auction::MultiTaskInstance& truth,
+                           const auction::MechanismOutcome& outcome, auction::UserId user) {
+  if (!outcome.allocation.contains(user)) {
+    return 0.0;
+  }
+  return outcome.reward_of(user).reward.expected_utility(
+      truth.users[user].any_success_probability());
+}
+
 bool individually_rational(const std::vector<double>& utilities, double tolerance) {
   return std::all_of(utilities.begin(), utilities.end(),
                      [&](double u) { return u >= -tolerance; });

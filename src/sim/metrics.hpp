@@ -31,6 +31,13 @@ std::vector<double> expected_utilities(const auction::SingleTaskInstance& instan
 std::vector<double> expected_utilities(const auction::MultiTaskInstance& instance,
                                        const auction::MechanismOutcome& outcome);
 
+/// Expected utility of one user under the outcome, accounted against her
+/// true type in `truth`: 0 when she loses, (p_i - p̄_i)·α when she wins.
+double expected_utility_of(const auction::SingleTaskInstance& truth,
+                           const auction::MechanismOutcome& outcome, auction::UserId user);
+double expected_utility_of(const auction::MultiTaskInstance& truth,
+                           const auction::MechanismOutcome& outcome, auction::UserId user);
+
 /// True when every winner's expected utility is >= -tolerance (individual
 /// rationality, Theorems 1 and 4).
 bool individually_rational(const std::vector<double>& utilities, double tolerance = 1e-9);

@@ -1,8 +1,10 @@
 // Differential coverage on hostile inputs: the attack-harness instance
 // generator (tied costs, near-boundary requirements, zero-PoS tails, mixed
 // cost magnitudes, DP-noised reports) pushed through the fast≡oracle pairs
-// the certified suites pin on benign samplers —
-//   single task: (kDpReuse, kColumns)  ≡  (kFullSolve, kScalarOracle)
+// the certified suites pin on benign samplers — each family's production
+// run_mechanism ≡ oracle::run_mechanism:
+//   single task: probe context + columns kernel  ≡  copied-instance
+//                full solves over the scalar kernel
 //   multi task:  kLazy + masked_rewards  ≡  kReferenceScan + copied probes
 // Outcomes must be BIT-identical (test::expect_identical_outcome), exactly
 // as st_probe_equivalence_test / mt_lazy_equivalence_test assert on their
@@ -14,25 +16,14 @@
 
 #include "auction/multi_task/mechanism.hpp"
 #include "auction/single_task/mechanism.hpp"
+#include "oracle/mechanism.hpp"
 #include "sim/adversary.hpp"
 #include "test_util.hpp"
 
 namespace mcs {
 namespace {
 
-auction::MechanismConfig fast_config() {
-  auction::MechanismConfig config;  // the defaults ARE the fast paths
-  return config;
-}
-
-auction::MechanismConfig oracle_config() {
-  auction::MechanismConfig config;
-  config.single_task.probe_strategy = auction::ProbeStrategy::kFullSolve;
-  config.single_task.dp_kernel = auction::DpKernel::kScalarOracle;
-  config.multi_task.winner_determination = auction::GreedyAlgorithm::kReferenceScan;
-  config.multi_task.masked_rewards = false;
-  return config;
-}
+const auction::MechanismConfig kConfig;  // the defaults ARE the fast paths
 
 struct HostileCase {
   sim::HostileShape shape;
@@ -64,9 +55,8 @@ TEST_P(AdversarialEquivalence, SingleTaskFastMatchesOracleOnHostileInputs) {
                              " shape=" + sim::to_string(c.shape) +
                              " epsilon=" + std::to_string(c.epsilon) + " family=single";
   SCOPED_TRACE(replay);
-  const auto fast = auction::single_task::run_mechanism(instance, fast_config());
-  const auto oracle = auction::single_task::run_mechanism(instance, oracle_config());
-  test::expect_identical_outcome(fast, oracle);
+  test::expect_identical_outcome(auction::single_task::run_mechanism(instance, kConfig),
+                                 oracle::run_mechanism(instance, kConfig));
 }
 
 TEST_P(AdversarialEquivalence, MultiTaskLazyMatchesReferenceOnHostileInputs) {
@@ -83,9 +73,8 @@ TEST_P(AdversarialEquivalence, MultiTaskLazyMatchesReferenceOnHostileInputs) {
                              " shape=" + sim::to_string(c.shape) +
                              " epsilon=" + std::to_string(c.epsilon) + " family=multi";
   SCOPED_TRACE(replay);
-  const auto fast = auction::multi_task::run_mechanism(instance, fast_config());
-  const auto oracle = auction::multi_task::run_mechanism(instance, oracle_config());
-  test::expect_identical_outcome(fast, oracle);
+  test::expect_identical_outcome(auction::multi_task::run_mechanism(instance, kConfig),
+                                 oracle::run_mechanism(instance, kConfig));
 }
 
 TEST_P(AdversarialEquivalence, SybilAndShadedInstancesStayBitIdentical) {
@@ -99,17 +88,15 @@ TEST_P(AdversarialEquivalence, SybilAndShadedInstancesStayBitIdentical) {
   SCOPED_TRACE(replay);
 
   const auto split = sim::split_identity(truth, 0, 3);
-  test::expect_identical_outcome(
-      auction::single_task::run_mechanism(split.instance, fast_config()),
-      auction::single_task::run_mechanism(split.instance, oracle_config()));
+  test::expect_identical_outcome(auction::single_task::run_mechanism(split.instance, kConfig),
+                                 oracle::run_mechanism(split.instance, kConfig));
 
   auto shaded = truth;
   for (auction::UserId member = 0; member < 2; ++member) {
     shaded = shaded.with_declared_contribution(member, 0.5 * truth.contribution(member));
   }
-  test::expect_identical_outcome(
-      auction::single_task::run_mechanism(shaded, fast_config()),
-      auction::single_task::run_mechanism(shaded, oracle_config()));
+  test::expect_identical_outcome(auction::single_task::run_mechanism(shaded, kConfig),
+                                 oracle::run_mechanism(shaded, kConfig));
 }
 
 INSTANTIATE_TEST_SUITE_P(

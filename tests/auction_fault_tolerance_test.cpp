@@ -120,12 +120,14 @@ TEST(FaultTolerance, IsolationMatchesAcrossWorkerCounts) {
 }
 
 TEST(FaultTolerance, SingleTaskTimeoutDegradesToMinGreedy) {
-  // epsilon = 1e-6 prices the FPTAS DP astronomically over any budget, so
-  // the timeout is certain; the instance is kept at n = 200 so the
-  // Min-Greedy retry (which now honours its own fresh deadline, critical-bid
-  // probes included) finishes well inside the budget even under the
-  // sanitizer presets on a loaded single-core machine.
-  const auto instance = test::random_single_task(200, 0.9, 7, 0.3);
+  // An unprunable instance (contributions exactly proportional to costs) at
+  // epsilon = 1e-6 gives the FPTAS DP a frontier that doubles per item, so
+  // one sweep pass overshoots the budget however fast the host or the
+  // critical-bid probes are; the timeout is certain. The Min-Greedy retry
+  // (which honours its own fresh deadline, critical-bid probes included)
+  // takes a few milliseconds at n = 40, well inside the budget even under
+  // the sanitizer presets on a loaded machine.
+  const auto instance = test::unprunable_single_task(40, 7);
   const MechanismConfig config{.alpha = 10.0,
                                .time_budget_seconds = 0.25,
                                .degrade_on_timeout = true,

@@ -2,8 +2,14 @@
 // malformed-input diagnostics, and file wrappers.
 #include "auction/io.hpp"
 
+#include <sys/stat.h>
+
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <variant>
 
 #include <gtest/gtest.h>
 
@@ -225,6 +231,75 @@ TEST(DetectInstanceKind, RecognizesHeaders) {
   EXPECT_EQ(detect_instance_kind("# comment\nmcs-multi-task-v1\n"), "multi");
   EXPECT_EQ(detect_instance_kind("something else\n"), "");
   EXPECT_EQ(detect_instance_kind(""), "");
+}
+
+TEST(LoadInstance, ParsesEitherKindAndNamesTheFile) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto single_path = dir / "mcs_io_load_single_test.txt";
+  const auto multi_path = dir / "mcs_io_load_multi_test.txt";
+  const auto single = test::random_single_task(6, 0.7, 11);
+  const auto multi = test::random_multi_task(6, 3, 0.5, 12);
+  save_single_task(single_path, single);
+  save_multi_task(multi_path, multi);
+
+  const auto loaded_single = load_instance(single_path);
+  ASSERT_TRUE(std::holds_alternative<SingleTaskInstance>(loaded_single));
+  EXPECT_EQ(to_text(std::get<SingleTaskInstance>(loaded_single)), to_text(single));
+  const auto loaded_multi = load_instance(multi_path);
+  ASSERT_TRUE(std::holds_alternative<MultiTaskInstance>(loaded_multi));
+  EXPECT_EQ(to_text(std::get<MultiTaskInstance>(loaded_multi)), to_text(multi));
+
+  {
+    std::ofstream out(single_path);
+    out << "mcs-single-task-v1\nrequirement 0.5\nuser -3.0 0.7\n";
+  }
+  try {
+    load_instance(single_path);
+    FAIL() << "expected a parse error";
+  } catch (const common::PreconditionError& error) {
+    EXPECT_EQ(std::string(error.what()),
+              single_path.string() + ", line 3: cost -3.0 must be strictly positive");
+  }
+  std::filesystem::remove(single_path);
+  std::filesystem::remove(multi_path);
+  EXPECT_THROW(load_instance(single_path), std::runtime_error);
+}
+
+TEST(LoadInstance, RejectsAnUnknownHeader) {
+  const auto path = std::filesystem::temp_directory_path() / "mcs_io_load_unknown_test.txt";
+  {
+    std::ofstream out(path);
+    out << "mcs-something-v9\nrequirement 0.5\n";
+  }
+  try {
+    load_instance(path);
+    FAIL() << "expected an unrecognized header";
+  } catch (const common::PreconditionError& error) {
+    EXPECT_EQ(std::string(error.what()), "unrecognized instance header in " + path.string());
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(LoadInstance, ReadsAFifoOnce) {
+  // A pipe can be read only once: load_instance must detect the kind and
+  // parse from the same read (a shell's <(...) hands the CLI such a path).
+  const auto path = std::filesystem::temp_directory_path() / "mcs_io_load_fifo_test";
+  std::filesystem::remove(path);
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  // The future's destructor joins the writer on every path out of the test.
+  auto writer = std::async(std::launch::async, [&] {
+    std::ofstream out(path);
+    out << "mcs-single-task-v1\nrequirement 0.5\nuser 1 0.6\n";
+  });
+  const auto loaded = load_instance(path);
+  writer.get();
+  std::filesystem::remove(path);
+  ASSERT_TRUE(std::holds_alternative<SingleTaskInstance>(loaded));
+  const auto& instance = std::get<SingleTaskInstance>(loaded);
+  EXPECT_EQ(instance.requirement_pos, 0.5);
+  ASSERT_EQ(instance.bids.size(), 1u);
+  EXPECT_EQ(instance.bids[0].cost, 1.0);
+  EXPECT_EQ(instance.bids[0].pos, 0.6);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Differential suite pinning the columns frontier-DP kernel to the scalar
-// oracle (auction::DpKernel, DESIGN.md §8): on randomized and adversarial
-// item lists, min_knapsack_frontier / solve_min_knapsack / solve_max_knapsack
-// must return bit-for-bit identical frontiers, subsets, costs, and
-// contributions under both kernels — the two implementations perform the
-// identical comparisons on the identical doubles, so ANY divergence is a
+// oracle (oracle/dp_knapsack.hpp, DESIGN.md §8): on randomized and
+// adversarial item lists, min_knapsack_frontier / solve_min_knapsack /
+// solve_max_knapsack must return bit-for-bit identical frontiers, subsets,
+// costs, and contributions as the oracle's — the two implementations perform
+// the identical comparisons on the identical doubles, so ANY divergence is a
 // kernel bug, not tolerance noise. Carries the `perf-eq` label so the
 // sanitizer presets run it too.
 #include <gtest/gtest.h>
@@ -18,6 +18,8 @@
 #include "bench_shapes.hpp"
 #include "common/deadline.hpp"
 #include "common/rng.hpp"
+#include "oracle/dp_knapsack.hpp"
+#include "oracle/mechanism.hpp"
 
 namespace mcs::auction::single_task {
 namespace {
@@ -29,10 +31,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// the budgeted form's preconditions) the max-knapsack solution.
 void expect_kernels_agree(const std::vector<KnapsackItem>& items, double requirement,
                           std::int64_t budget, const std::string& label) {
-  const auto frontier_columns =
-      min_knapsack_frontier(items, requirement, {}, DpKernel::kColumns);
-  const auto frontier_oracle =
-      min_knapsack_frontier(items, requirement, {}, DpKernel::kScalarOracle);
+  const auto frontier_columns = min_knapsack_frontier(items, requirement);
+  const auto frontier_oracle = oracle::min_knapsack_frontier(items, requirement);
   ASSERT_EQ(frontier_columns.size(), frontier_oracle.size()) << label;
   for (std::size_t k = 0; k < frontier_columns.size(); ++k) {
     EXPECT_EQ(frontier_columns[k].scaled_cost, frontier_oracle[k].scaled_cost)
@@ -41,8 +41,8 @@ void expect_kernels_agree(const std::vector<KnapsackItem>& items, double require
         << label << " entry " << k;
   }
 
-  const auto min_columns = solve_min_knapsack(items, requirement, {}, DpKernel::kColumns);
-  const auto min_oracle = solve_min_knapsack(items, requirement, {}, DpKernel::kScalarOracle);
+  const auto min_columns = solve_min_knapsack(items, requirement);
+  const auto min_oracle = oracle::solve_min_knapsack(items, requirement);
   ASSERT_EQ(min_columns.has_value(), min_oracle.has_value()) << label;
   if (min_columns.has_value()) {
     EXPECT_EQ(min_columns->items, min_oracle->items) << label;
@@ -50,8 +50,8 @@ void expect_kernels_agree(const std::vector<KnapsackItem>& items, double require
     EXPECT_EQ(min_columns->total_contribution, min_oracle->total_contribution) << label;
   }
 
-  const auto max_columns = solve_max_knapsack(items, budget, DpKernel::kColumns);
-  const auto max_oracle = solve_max_knapsack(items, budget, DpKernel::kScalarOracle);
+  const auto max_columns = solve_max_knapsack(items, budget);
+  const auto max_oracle = oracle::solve_max_knapsack(items, budget);
   EXPECT_EQ(max_columns.items, max_oracle.items) << label;
   EXPECT_EQ(max_columns.total_scaled_cost, max_oracle.total_scaled_cost) << label;
   EXPECT_EQ(max_columns.total_contribution, max_oracle.total_contribution) << label;
@@ -117,31 +117,28 @@ TEST(DpKernelEquivalence, ExpiredDeadlineThrowsInBothKernels) {
   // depends on the throw, so the columns kernel may not outrun the poll.
   const std::vector<KnapsackItem> items = {{1.0, 1}, {2.0, 2}};
   const auto expired = common::Deadline::after(-1.0);
-  EXPECT_THROW(min_knapsack_frontier(items, 2.0, expired, DpKernel::kColumns),
-               common::DeadlineExceeded);
-  EXPECT_THROW(min_knapsack_frontier(items, 2.0, expired, DpKernel::kScalarOracle),
-               common::DeadlineExceeded);
-  EXPECT_THROW(solve_min_knapsack(items, 2.0, expired, DpKernel::kColumns),
-               common::DeadlineExceeded);
-  EXPECT_THROW(solve_min_knapsack(items, 2.0, expired, DpKernel::kScalarOracle),
-               common::DeadlineExceeded);
+  EXPECT_THROW(min_knapsack_frontier(items, 2.0, expired), common::DeadlineExceeded);
+  EXPECT_THROW(oracle::min_knapsack_frontier(items, 2.0, expired), common::DeadlineExceeded);
+  EXPECT_THROW(solve_min_knapsack(items, 2.0, expired), common::DeadlineExceeded);
+  EXPECT_THROW(oracle::solve_min_knapsack(items, 2.0, expired), common::DeadlineExceeded);
   // No items -> no sweep iterations -> no poll: both kernels return the root
   // frontier instead of throwing, exactly like the oracle always has.
-  EXPECT_EQ(min_knapsack_frontier({}, 1.0, expired, DpKernel::kColumns).size(), 1u);
-  EXPECT_EQ(min_knapsack_frontier({}, 1.0, expired, DpKernel::kScalarOracle).size(), 1u);
+  EXPECT_EQ(min_knapsack_frontier({}, 1.0, expired).size(), 1u);
+  EXPECT_EQ(oracle::min_knapsack_frontier({}, 1.0, expired).size(), 1u);
 }
 
 TEST(DpKernelEquivalence, SolveFptasMatchesAcrossKernelsOnBenchShapes) {
   // End-to-end winner determination on the memory_scaling bench shape: the
-  // kernel knob must be invisible in the allocation.
+  // production FPTAS (columns kernel over BidColumns) must allocate exactly
+  // like the paper-literal oracle::solve_fptas (scalar kernel over the bids).
   for (const std::size_t n : {12, 30, 60}) {
     for (const std::uint64_t seed : {3ull, 4ull}) {
       const auto instance = bench_shapes::single_task_scaling_instance(n, seed);
-      const auto columns = solve_fptas(instance, 0.3, {}, nullptr, DpKernel::kColumns);
-      const auto oracle = solve_fptas(instance, 0.3, {}, nullptr, DpKernel::kScalarOracle);
-      EXPECT_EQ(columns.feasible, oracle.feasible) << "n=" << n << " seed=" << seed;
-      EXPECT_EQ(columns.winners, oracle.winners) << "n=" << n << " seed=" << seed;
-      EXPECT_EQ(columns.total_cost, oracle.total_cost) << "n=" << n << " seed=" << seed;
+      const auto columns = solve_fptas(instance, 0.3);
+      const auto literal = oracle::solve_fptas(instance, 0.3);
+      EXPECT_EQ(columns.feasible, literal.feasible) << "n=" << n << " seed=" << seed;
+      EXPECT_EQ(columns.winners, literal.winners) << "n=" << n << " seed=" << seed;
+      EXPECT_EQ(columns.total_cost, literal.total_cost) << "n=" << n << " seed=" << seed;
     }
   }
 }

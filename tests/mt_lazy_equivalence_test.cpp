@@ -22,6 +22,7 @@
 #include "auction/multi_task/reward.hpp"
 #include "auction/multi_task/view.hpp"
 #include "common/rng.hpp"
+#include "oracle/mechanism.hpp"
 #include "test_util.hpp"
 
 namespace mcs::auction::multi_task {
@@ -182,13 +183,10 @@ TEST_P(RewardEquivalence, CriticalBidsMatchUnderBothRules) {
 }
 
 TEST_P(RewardEquivalence, MechanismOutcomeMatchesReferenceConfiguration) {
-  auction::MechanismConfig lazy_config;  // the defaults: lazy winner determination, masked rewards
-  auction::MechanismConfig reference_config;
-  reference_config.multi_task.winner_determination = GreedyAlgorithm::kReferenceScan;
-  reference_config.multi_task.masked_rewards = false;
+  const auction::MechanismConfig config;  // the defaults: lazy greedy, masked rewards
   for (const auto& instance : instances_for(GetParam())) {
-    test::expect_identical_outcome(run_mechanism(instance, lazy_config),
-                                   run_mechanism(instance, reference_config));
+    test::expect_identical_outcome(run_mechanism(instance, config),
+                                   oracle::run_mechanism(instance, config));
   }
 }
 

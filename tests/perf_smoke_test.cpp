@@ -1,9 +1,9 @@
 // Fast perf-smoke gate (seconds, not minutes): runs both scaling suites'
 // shapes at tiny sizes and asserts each optimized path — the multi-task one
 // (lazy greedy + masked re-solves + parallel rewards) and the single-task
-// critical-bid DP-reuse fast path — agrees with its reference/oracle path
-// (full-rescan winner determination + copied-instance or full-solve probes)
-// END TO END —
+// one (critical-bid probe context + columns DP kernel) — agrees with
+// oracle::run_mechanism (full-rescan winner determination + copied-instance
+// probes; the paper-literal FPTAS with full-solve probes) END TO END —
 // the same invariant bench/perf_mechanisms measures at n up to 400, wired
 // into every preset's ctest run so a correctness regression in the hot path
 // can never hide behind a green unit suite. Carries the `parallel` label so
@@ -20,18 +20,16 @@
 #include "auction/multi_task/mechanism.hpp"
 #include "auction/single_task/mechanism.hpp"
 #include "bench_shapes.hpp"
+#include "harness/adversarial_sweep.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/adversary.hpp"
+#include "oracle/mechanism.hpp"
 #include "test_util.hpp"
 
 namespace mcs::auction::multi_task {
 namespace {
 
 TEST(PerfSmoke, LazyAndReferenceMechanismsAgreeAcrossTinyScalingSweep) {
-  auction::MechanismConfig lazy;  // defaults: kLazy + masked + parallel rewards
-  auction::MechanismConfig reference;
-  reference.multi_task.winner_determination = GreedyAlgorithm::kReferenceScan;
-  reference.multi_task.masked_rewards = false;
+  const auction::MechanismConfig lazy;  // defaults: kLazy + masked + parallel rewards
   std::size_t feasible = 0;
   for (const std::size_t n : {10, 20, 40}) {
     for (const std::uint64_t seed : {1ull, 2ull}) {
@@ -40,7 +38,7 @@ TEST(PerfSmoke, LazyAndReferenceMechanismsAgreeAcrossTinyScalingSweep) {
       const auto optimized = run_mechanism(instance, lazy);
       const std::chrono::duration<double> lazy_elapsed =
           std::chrono::steady_clock::now() - start;
-      const auto baseline = run_mechanism(instance, reference);
+      const auto baseline = oracle::run_mechanism(instance, lazy);
       test::expect_identical_outcome(optimized, baseline);
       feasible += optimized.allocation.feasible ? 1 : 0;
       std::cout << "[perf-smoke] n=" << n << " seed=" << seed << " winners="
@@ -53,28 +51,29 @@ TEST(PerfSmoke, LazyAndReferenceMechanismsAgreeAcrossTinyScalingSweep) {
   EXPECT_GT(feasible, 0u);
 }
 
-TEST(PerfSmoke, SingleTaskFastProbesAgreeWithOracleAcrossTinyScalingSweep) {
+TEST(PerfSmoke, SingleTaskFastPathsAgreeWithOracleAcrossTinyScalingSweep) {
   // The single-task counterpart of the gate above: on the exact shape
-  // bench/perf_mechanisms measures at n up to 400, the critical-bid DP-reuse
-  // fast path (the default) must agree with the full-solve oracle END TO
-  // END — winners, critical bids, rewards, degradation flags — at tiny n,
-  // every ctest run, under every preset. Also checks the fast path's probe
-  // accounting: each probe is a reuse hit or a counted fallback, never
+  // bench/perf_mechanisms and bench/memory_scaling measure at n up to 400,
+  // the production mechanism — critical-bid probe context over the columns
+  // DP kernel — must agree with oracle::run_mechanism (the paper-literal
+  // FPTAS over the scalar kernel, full-solve probes) END TO END — winners,
+  // total cost, critical bids, rewards, degradation flags — at tiny n, every
+  // ctest run, under every preset. No mechanism-level wiring can route
+  // around the pinned kernel or probe context. Also checks the fast path's
+  // probe accounting: each probe is a reuse hit or a counted fallback, never
   // unaccounted.
-  auction::MechanismConfig fast;  // default: ProbeStrategy::kDpReuse
+  auction::MechanismConfig fast;
   fast.single_task.epsilon = 0.5;
-  auction::MechanismConfig oracle = fast;
-  oracle.single_task.probe_strategy = ProbeStrategy::kFullSolve;
   std::size_t feasible = 0;
   for (const std::size_t n : {10, 20, 40}) {
-    for (const std::uint64_t seed : {21ull, 22ull}) {
+    for (const std::uint64_t seed : {21ull, 22ull, 31ull, 32ull}) {
       const auto instance = bench_shapes::single_task_scaling_instance(n, seed);
       const obs::ScopedTelemetry telemetry(true);
       const auto start = std::chrono::steady_clock::now();
       const auto optimized = single_task::run_mechanism(instance, fast);
       const std::chrono::duration<double> fast_elapsed =
           std::chrono::steady_clock::now() - start;
-      const auto baseline = single_task::run_mechanism(instance, oracle);
+      const auto baseline = oracle::run_mechanism(instance, fast);
       test::expect_identical_outcome(optimized, baseline);
       feasible += optimized.allocation.feasible ? 1 : 0;
       if (optimized.allocation.feasible) {
@@ -93,31 +92,6 @@ TEST(PerfSmoke, SingleTaskFastProbesAgreeWithOracleAcrossTinyScalingSweep) {
   }
   // The reward (critical-bid) phase only runs on feasible covers; the sweep
   // must exercise it, not just winner determination.
-  EXPECT_GT(feasible, 0u);
-}
-
-TEST(PerfSmoke, ColumnsDpKernelAgreesWithScalarOracleEndToEnd) {
-  // The Algorithm 1 kernel gate: the memory-engineered columns sweep (the
-  // default DpKernel) must reproduce the retained scalar-oracle sweep END TO
-  // END — winners, total cost, every critical bid and reward — on the exact
-  // shape bench/memory_scaling measures at large n, every ctest run, under
-  // every preset. The dedicated differential suite
-  // (dp_kernel_equivalence_test) pins the frontiers themselves; this gate
-  // makes sure no mechanism-level wiring can route around the pinned kernel.
-  auction::MechanismConfig columns;  // default: DpKernel::kColumns
-  columns.single_task.epsilon = 0.5;
-  auction::MechanismConfig oracle = columns;
-  oracle.single_task.dp_kernel = DpKernel::kScalarOracle;
-  std::size_t feasible = 0;
-  for (const std::size_t n : {10, 20, 40}) {
-    for (const std::uint64_t seed : {31ull, 32ull}) {
-      const auto instance = bench_shapes::single_task_scaling_instance(n, seed);
-      const auto optimized = single_task::run_mechanism(instance, columns);
-      const auto baseline = single_task::run_mechanism(instance, oracle);
-      test::expect_identical_outcome(optimized, baseline);
-      feasible += optimized.allocation.feasible ? 1 : 0;
-    }
-  }
   EXPECT_GT(feasible, 0u);
 }
 
@@ -162,12 +136,12 @@ TEST(PerfSmoke, DisabledTelemetryIsFreeAndEnabledTelemetryOnlyAddsFields) {
 TEST(PerfSmoke, QuickAdversarialSweepStaysCleanOnTheoremAxes) {
   // The bench/adversarial_sweep --quick smoke, in-process: the attack
   // harness's tiny sweep must (a) keep every hostile-input auction
-  // bit-identical across the fast and oracle configurations, and (b) report
+  // bit-identical between production and oracle::run_mechanism, and (b) report
   // zero SP/IR violations on the ε-disabled truthful baseline — the
   // Theorem 1/4 pins under hostile shapes. Noised rows may degrade (that is
   // the measurement); the theorem axes may not.
   const auto start = std::chrono::steady_clock::now();
-  const auto result = sim::run_adversarial_sweep(sim::quick_sweep_config());
+  const auto result = harness::run_adversarial_sweep(harness::quick_sweep_config());
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(result.fast_oracle_mismatches, 0u);
   EXPECT_EQ(result.truthful_sp_violations, 0u);
@@ -218,12 +192,9 @@ TEST(PerfSmoke, RewardProbesResumeFromTheWinnerDeterminationRun) {
 TEST(PerfSmoke, BothCriticalBidRulesSurviveTheSweep) {
   auction::MechanismConfig lazy;
   lazy.multi_task.critical_bid_rule = CriticalBidRule::kPaperIterationMin;
-  auction::MechanismConfig reference = lazy;
-  reference.multi_task.winner_determination = GreedyAlgorithm::kReferenceScan;
-  reference.multi_task.masked_rewards = false;
   const auto instance = bench_shapes::scaling_instance(20, 6, 3, 0.6);
   test::expect_identical_outcome(run_mechanism(instance, lazy),
-                                 run_mechanism(instance, reference));
+                                 oracle::run_mechanism(instance, lazy));
 }
 
 }  // namespace

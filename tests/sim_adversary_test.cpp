@@ -13,6 +13,7 @@
 #include "auction/single_task/mechanism.hpp"
 #include "common/check.hpp"
 #include "common/math.hpp"
+#include "harness/adversarial_sweep.hpp"
 #include "platform/reputation.hpp"
 #include "sim/metrics.hpp"
 
@@ -343,7 +344,7 @@ TEST(ReputationFeedback, WeightScalingShrinksContributions) {
 }
 
 TEST(QuickSweep, RunsCleanOnEveryAxis) {
-  const auto result = sim::run_adversarial_sweep(sim::quick_sweep_config());
+  const auto result = harness::run_adversarial_sweep(harness::quick_sweep_config());
   EXPECT_EQ(result.fast_oracle_mismatches, 0u);
   EXPECT_EQ(result.truthful_sp_violations, 0u);
   EXPECT_EQ(result.truthful_ir_violations, 0u);

@@ -1,7 +1,9 @@
-// Differential pin for the single-task critical-bid fast path
-// (ProbeStrategy::kDpReuse): across hundreds of randomized instances —
-// varied cost/PoS shapes, both winner rules, an ε grid — the reused-DP
-// probe answers must reproduce the full-solve oracle BIT-identically:
+// Differential pin for the single-task critical-bid fast path (the
+// FptasProbeContext behind single_task::critical_contribution): across
+// hundreds of randomized instances — varied cost/PoS shapes, both winner
+// rules, an ε grid — the production probe answers must reproduce
+// oracle::critical_contribution, which re-solves a copied instance on every
+// probe, BIT-identically:
 // same winners, same critical contributions, same rewards, as exact
 // double equality, not tolerances. Any divergence prints the (shape,
 // seed, epsilon, rule) tuple needed to replay it.
@@ -17,6 +19,8 @@
 #include "auction/single_task/reward.hpp"
 #include "common/rng.hpp"
 #include "obs/telemetry.hpp"
+#include "oracle/dp_knapsack.hpp"
+#include "oracle/mechanism.hpp"
 #include "test_util.hpp"
 
 namespace mcs::auction::single_task {
@@ -110,22 +114,18 @@ TEST_P(ProbeEquivalence, FastPathMatchesOracleBitIdentically) {
           if (!allocation.feasible) {
             continue;
           }
-          RewardOptions fast{.alpha = 10.0,
-                             .epsilon = epsilon,
-                             .winner_rule = rule,
-                             .probe_strategy = ProbeStrategy::kDpReuse};
-          RewardOptions oracle = fast;
-          oracle.probe_strategy = ProbeStrategy::kFullSolve;
+          RewardOptions fast{.alpha = 10.0, .epsilon = epsilon, .winner_rule = rule};
+          RewardOptions literal = fast;
           for (const UserId winner : allocation.winners) {
             obs::PhaseCounters fast_counters;
             obs::PhaseCounters oracle_counters;
             fast.counters = &fast_counters;
-            oracle.counters = &oracle_counters;
+            literal.counters = &oracle_counters;
             EXPECT_EQ(critical_contribution(instance, winner, fast),
-                      critical_contribution(instance, winner, oracle))
+                      oracle::critical_contribution(instance, winner, literal))
                 << "winner " << winner;
             const auto fast_reward = compute_reward(instance, winner, fast);
-            const auto oracle_reward = compute_reward(instance, winner, oracle);
+            const auto oracle_reward = oracle::compute_reward(instance, winner, literal);
             EXPECT_EQ(fast_reward.critical_contribution, oracle_reward.critical_contribution)
                 << "winner " << winner;
             EXPECT_EQ(fast_reward.reward.critical_pos, oracle_reward.reward.critical_pos)
@@ -154,23 +154,21 @@ INSTANTIATE_TEST_SUITE_P(Shards, ProbeEquivalence, ::testing::Range<std::uint64_
 TEST(ProbeEquivalence, EndToEndMechanismOutcomesAreBitIdentical) {
   // The same differential at the mechanism facade level: the full outcome
   // (winners, every reward field, degradation flags) of a default-config
-  // run must equal a kFullSolve run, with parallel rewards on.
+  // run must equal oracle::run_mechanism's, with parallel rewards on.
   for (std::uint64_t seed = 500; seed < 520; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const auto instance = test::random_single_task(12, 0.85, seed, /*pos_hi=*/0.6);
-    auction::MechanismConfig fast_config;
-    fast_config.single_task.epsilon = 0.4;
-    auction::MechanismConfig oracle_config = fast_config;
-    oracle_config.single_task.probe_strategy = ProbeStrategy::kFullSolve;
-    test::expect_identical_outcome(run_mechanism(instance, fast_config),
-                                   run_mechanism(instance, oracle_config));
+    auction::MechanismConfig config;
+    config.single_task.epsilon = 0.4;
+    test::expect_identical_outcome(run_mechanism(instance, config),
+                                   oracle::run_mechanism(instance, config));
   }
 }
 
 TEST(ProbeEquivalence, FrontierOnlyPathYieldsIdenticalFrontierEntries) {
   // The probe context consumes frontiers through min_knapsack_frontier,
-  // which under DpKernel::kColumns skips parent bookkeeping entirely (no
-  // reconstruction is ever requested on that path). Skipping the side pool
+  // which skips parent bookkeeping entirely (no reconstruction is ever
+  // requested on that path). Skipping the side pool
   // must not perturb a single surviving state: on the same item lists the
   // differential suites probe with, every frontier entry — scaled cost AND
   // capped contribution — must equal the scalar oracle's bit for bit.
@@ -186,14 +184,13 @@ TEST(ProbeEquivalence, FrontierOnlyPathYieldsIdenticalFrontierEntries) {
                            static_cast<std::int64_t>(bid.cost / mu)});
         }
         const double requirement = common::contribution_from_pos(instance.requirement_pos);
-        const auto columns =
-            min_knapsack_frontier(items, requirement, {}, DpKernel::kColumns);
-        const auto oracle =
-            min_knapsack_frontier(items, requirement, {}, DpKernel::kScalarOracle);
-        ASSERT_EQ(columns.size(), oracle.size()) << "mu=" << mu;
+        const auto columns = min_knapsack_frontier(items, requirement);
+        const auto literal = oracle::min_knapsack_frontier(items, requirement);
+        ASSERT_EQ(columns.size(), literal.size()) << "mu=" << mu;
         for (std::size_t k = 0; k < columns.size(); ++k) {
-          EXPECT_EQ(columns[k].scaled_cost, oracle[k].scaled_cost) << "mu=" << mu << " entry " << k;
-          EXPECT_EQ(columns[k].contribution, oracle[k].contribution)
+          EXPECT_EQ(columns[k].scaled_cost, literal[k].scaled_cost)
+              << "mu=" << mu << " entry " << k;
+          EXPECT_EQ(columns[k].contribution, literal[k].contribution)
               << "mu=" << mu << " entry " << k;
         }
       }

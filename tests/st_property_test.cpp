@@ -34,9 +34,9 @@ TEST_P(SingleTaskProperties, RandomMisreportsNeverBeatTruthAndWinnersStaySolvent
   // Strategyproofness: for every user, no random PoS misreport yields more
   // expected utility than the truthful declaration (up to bisection
   // precision). Individual rationality: truthful winners have non-negative
-  // expected utility. Both run on the default probe strategy (kDpReuse),
-  // so a fast-path bug that shifted a single critical bid would surface as
-  // a profitable deviation or a losing winner.
+  // expected utility. Both run on the production probe context (the only
+  // FPTAS probe path), so a fast-path bug that shifted a single critical bid
+  // would surface as a profitable deviation or a losing winner.
   const std::uint64_t seed = GetParam();
   common::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
   const double requirement = rng.uniform(0.6, 0.9);
@@ -46,7 +46,6 @@ TEST_P(SingleTaskProperties, RandomMisreportsNeverBeatTruthAndWinnersStaySolvent
                              " requirement=" + std::to_string(requirement) +
                              " pos_hi=" + std::to_string(pos_hi);
   const RewardOptions options{.alpha = 10.0, .epsilon = 0.35};
-  ASSERT_EQ(options.probe_strategy, ProbeStrategy::kDpReuse) << replay;
 
   const auto truthful_allocation = solve_fptas(instance, options.epsilon);
   if (!truthful_allocation.feasible) {

@@ -10,6 +10,7 @@
 #include "auction/single_task/min_greedy.hpp"
 #include "common/check.hpp"
 #include "common/math.hpp"
+#include "oracle/mechanism.hpp"
 #include "test_util.hpp"
 
 namespace mcs::auction::single_task {
@@ -88,34 +89,28 @@ TEST(Reward, RejectsBadOptions) {
   EXPECT_THROW(compute_reward(paper_example(), 0, options), common::PreconditionError);
 }
 
-TEST(CriticalBid, ScratchProbesAreBitIdenticalToCopiedProbes) {
+TEST(CriticalBid, ProductionProbesAreBitIdenticalToCopiedProbes) {
   // Regression for the probe allocation bug: each wins-with-contribution
-  // probe used to materialize a full O(n) instance copy. The scratch path
-  // mutates one reusable copy per critical_contribution call instead; it
-  // must reproduce the copying path's critical contributions EXACTLY (same
-  // doubles, both rules), because with_declared_contribution applies the
-  // very same pos_from_contribution conversion the scratch write applies.
+  // probe used to materialize a full O(n) instance copy. Production answers
+  // kFptas probes from the reused-frontier probe context and kMinGreedy
+  // probes from one scratch copy per critical_contribution call; both must
+  // reproduce oracle::critical_contribution, which copies the instance on
+  // every probe, EXACTLY (same doubles, both rules), because
+  // with_declared_contribution applies the very same pos_from_contribution
+  // conversion the production probes apply.
   for (std::uint64_t seed : {41ULL, 42ULL, 43ULL, 44ULL}) {
     const auto instance = test::random_single_task(15, 0.8, seed);
     for (const WinnerRule rule : {WinnerRule::kFptas, WinnerRule::kMinGreedy}) {
-      // Pin the full-solve strategy: with kDpReuse the FPTAS search answers
-      // from the probe context before the scratch/copied split is reached,
-      // and this test is specifically about the two full-solve probe paths.
-      RewardOptions scratch{.alpha = 10.0,
-                            .epsilon = 0.5,
-                            .winner_rule = rule,
-                            .probe_strategy = ProbeStrategy::kFullSolve};
-      RewardOptions copied = scratch;
-      copied.scratch_probes = false;
+      const RewardOptions options{.alpha = 10.0, .epsilon = 0.5, .winner_rule = rule};
       const auto allocation = rule == WinnerRule::kFptas
-                                  ? solve_fptas(instance, scratch.epsilon)
+                                  ? solve_fptas(instance, options.epsilon)
                                   : solve_min_greedy(instance);
       if (!allocation.feasible) {
         continue;
       }
       for (const UserId winner : allocation.winners) {
-        EXPECT_EQ(critical_contribution(instance, winner, scratch),
-                  critical_contribution(instance, winner, copied))
+        EXPECT_EQ(critical_contribution(instance, winner, options),
+                  oracle::critical_contribution(instance, winner, options))
             << "seed " << seed << " winner " << winner;
       }
     }

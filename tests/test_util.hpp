@@ -33,6 +33,28 @@ inline auction::SingleTaskInstance random_single_task(std::size_t n, double t,
   return instance;
 }
 
+/// Single-task instance the FPTAS cannot finish at a tiny ε: n users with
+/// costs in [1, 10] and contributions exactly proportional to them
+/// (q = 0.01·c), so dominance prunes almost nothing and each Algorithm 1
+/// sweep roughly doubles its frontier per item; the requirement is half the
+/// total contribution. The degradation-ladder tests use it to force the
+/// FPTAS over its budget however fast the critical-bid probes are, while
+/// Min-Greedy solves it in milliseconds. Keep q exactly proportional: noise
+/// on q restores pruning and lets the DP finish.
+inline auction::SingleTaskInstance unprunable_single_task(std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  auction::SingleTaskInstance instance;
+  instance.bids.reserve(n);
+  double total = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double cost = rng.uniform(1.0, 10.0);
+    instance.bids.push_back({cost, common::pos_from_contribution(0.01 * cost)});
+    total += 0.01 * cost;
+  }
+  instance.requirement_pos = common::pos_from_contribution(0.5 * total);
+  return instance;
+}
+
 /// Random multi-task single-minded instance: n users over t tasks, each user
 /// demanding 1..max_set tasks with PoS in [0.05, pos_hi].
 inline auction::MultiTaskInstance random_multi_task(std::size_t n, std::size_t t,
